@@ -91,20 +91,18 @@ int main(int argc, char** argv) {
   const double eps = bench::FlagDouble(argc, argv, "eps", 1.0);
   const int min_pts =
       static_cast<int>(bench::FlagU64(argc, argv, "min-pts", 8));
-  const size_t shards = bench::FlagU64(argc, argv, "shards", 1);
 
   const size_t total_ops = static_cast<size_t>(rate * duration);
   const size_t per_conn = std::max<size_t>(1, total_ops / connections);
   std::fprintf(stderr,
                "bench_load: connections=%zu rate=%.0f/s duration=%.1fs "
-               "ops=%zu batch=%zu query-fraction=%.2f shards=%zu\n",
+               "ops=%zu batch=%zu query-fraction=%.2f\n",
                connections, rate, duration, per_conn * connections, batch,
-               query_fraction, shards);
+               query_fraction);
 
   service::ServiceOptions options;
   options.params.eps = eps;
   options.params.min_pts = min_pts;
-  options.num_shards = shards;
   // Load run: admission shedding would turn tail latency into error counts.
   options.max_pending_ingests = per_conn * connections;
   service::DetectionService service(options);

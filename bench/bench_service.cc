@@ -109,36 +109,6 @@ int main(int argc, char** argv) {
                  n / async_seconds);
   }
 
-  // --- Sharded ingest sweep: the same async flow against 1 and N detector
-  // shards (--shards, default 4). Each shard runs its own apply loop, so
-  // with enough cores the scatter/ghost-exchange overhead is repaid by
-  // parallel per-shard applies; on a single core the sweep instead prices
-  // that overhead honestly (speedup <= 1). Both numbers re-run here so the
-  // ratio is apples-to-apples within one process. ---------------------------
-  const size_t sweep_shards = bench::FlagU64(argc, argv, "shards", 4);
-  double shards1_rate = 0;
-  double shardsN_rate = 0;
-  for (const size_t num_shards : {size_t{1}, sweep_shards}) {
-    service::ServiceOptions sopts = options;
-    sopts.num_shards = num_shards;
-    service::DetectionService ssvc(sopts);
-    WallTimer timer;
-    for (size_t begin = 0; begin < n; begin += batch) {
-      const size_t end = std::min(n, begin + batch);
-      const Status s =
-          ssvc.IngestAsync("bench", dims, Batch(stream, begin, end));
-      if (!s.ok()) {
-        std::fprintf(stderr, "sharded ingest: %s\n", s.ToString().c_str());
-        return 1;
-      }
-    }
-    ssvc.Drain();
-    const double rate = n / timer.ElapsedSeconds();
-    (num_shards == 1 ? shards1_rate : shardsN_rate) = rate;
-    std::fprintf(stderr, "  sharded  shards=%zu %.0f pts/s\n", num_shards,
-                 rate);
-  }
-
   // --- Windowed ingest: steady-state throughput with TTL expiry active. ---
   // The service gets a logical clock that ticks once per enqueued batch and
   // a TTL of half the stream, so the sliding window turns over ~3 times
@@ -331,12 +301,6 @@ int main(int argc, char** argv) {
   std::printf("    \"blocking_batch_p50_us\": %.1f,\n", ingest_lat.p50_us);
   std::printf("    \"blocking_batch_p99_us\": %.1f,\n", ingest_lat.p99_us);
   std::printf("    \"blocking_batch_p999_us\": %.1f\n", ingest_lat.p999_us);
-  std::printf("  },\n");
-  std::printf("  \"sharded\": {\n");
-  std::printf("    \"shards\": %zu,\n", sweep_shards);
-  std::printf("    \"shards1_points_per_sec\": %.0f,\n", shards1_rate);
-  std::printf("    \"shardsN_points_per_sec\": %.0f,\n", shardsN_rate);
-  std::printf("    \"speedup_Nv1\": %.3f\n", shardsN_rate / shards1_rate);
   std::printf("  },\n");
   std::printf("  \"durable\": {\n");
   std::printf("    \"never_points_per_sec\": %.0f,\n", durable_never_rate);

@@ -33,9 +33,8 @@ inline int64_t SlabReach(size_t dims) {
 /// whose label depends on the partition's owned cells — including
 /// second-order effects (a core decision in the first halo ring) — is
 /// present locally: two stencil reaches. This is THE halo width of the
-/// codebase; the external engine's spill ghost zones, the incremental
-/// engine's slab-block width, and the service's detector-shard replicas
-/// all use it.
+/// codebase; the external engine's spill ghost zones and the incremental
+/// engine's slab-block width both use it.
 inline int64_t HaloSlabs(size_t dims) { return 2 * SlabReach(dims); }
 
 /// Greedy stripe planning over an ordered dim-0 slab histogram: accumulate

@@ -38,7 +38,7 @@ inline constexpr size_t kNumVerbSlots = 9;
 inline constexpr uint8_t kTraceHeaderFlag = 0x80;
 
 /// Request-scoped trace context: a 64-bit id linking every span a request
-/// produces (decode, admission, queue-wait, shard applies, WAL commit,
+/// produces (decode, admission, queue-wait, detector apply, WAL commit,
 /// snapshot publish, reply encode) plus the originator's send timestamp
 /// (seconds on the originator's clock; carried for client-side skew
 /// accounting, never compared against server clocks). trace_id 0 means
@@ -111,10 +111,9 @@ struct StatsRow {
   friend bool operator==(const StatsRow&, const StatsRow&) = default;
 };
 
-/// One per-shard row in a STATS response: how the collection's points
-/// are spread over its detector shards. `points` counts what the shard
-/// holds (owned points plus ghost replicas); `epoch` is the shard-local
-/// insertion count; `queue_depth` is the shard apply loop's live depth.
+/// One per-shard row in a STATS response. Kept for wire compatibility:
+/// the service backs every collection with one detector and sends no
+/// rows.
 struct ShardStatsRow {
   uint64_t shard = 0;
   uint64_t points = 0;
@@ -167,10 +166,9 @@ struct StatsAnswer {
   uint64_t queue_depth = 0;
   /// The collection's sliding-window TTL (0 = append-only).
   double ttl_seconds = 0.0;
-  /// Detector shards backing the collection (1 = unsharded layout).
+  /// Detector shards backing the collection; the service always sends 1.
   uint64_t shards = 1;
-  /// One row per shard (present for single-shard collections too; clients
-  /// typically render them only when shards > 1).
+  /// Always empty from the service (see ShardStatsRow).
   std::vector<ShardStatsRow> shard_rows;
   std::vector<StatsRow> phases;
   /// Service-wide request latency quantiles per verb, from the

@@ -17,7 +17,6 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "common/timer.h"
-#include "grid/partition.h"
 #include "storage/wal.h"
 
 namespace dbscout::service {
@@ -169,8 +168,8 @@ DetectionService::DetectionService(const ServiceOptions& options)
       "dbscout_wal_commit_failures_total",
       "Apply passes whose WAL append/commit failed (tickets carry the "
       "error)");
-  // Crash recovery runs before the apply loop starts, so replay's router
-  // passes keep the coordinator-thread contract trivially. With
+  // Crash recovery runs before the apply loop starts, so replay's detector
+  // segments keep the single-writer contract trivially. With
   // defer_recovery both recovery AND the loop start wait for
   // RunDeferredRecovery() — the loop must not run expiry passes (which
   // share shard_pool_) concurrently with replay.
@@ -270,7 +269,7 @@ Response DetectionService::Dispatch(const Request& request) {
     request_seconds_[verb_slot]->ObserveWithExemplar(elapsed, trace_id);
   }
   if (trace_ != nullptr && trace_id != 0) {
-    // The root span of the request's trace; the decode/queue/shard/WAL
+    // The root span of the request's trace; the decode/queue/detector/WAL
     // spans nest under it by sharing the trace id.
     trace_->AddTracedSpan(VerbLabel(request.verb), "request", trace_id,
                           request.collection, elapsed);
@@ -402,10 +401,10 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
   auto it = collections_.find(name);
   if (it != collections_.end()) {
     Collection* collection = it->second.get();
-    if (dims != collection->router.dims()) {
+    if (dims != collection->dims) {
       return Status::InvalidArgument(
           StrFormat("collection '%s' has %zu dims, batch has %u",
-                    name.c_str(), collection->router.dims(), dims));
+                    name.c_str(), collection->dims, dims));
     }
     return collection;
   }
@@ -414,18 +413,13 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
         StrFormat("collection limit (%zu) reached",
                   options_.max_collections));
   }
-  DBSCOUT_ASSIGN_OR_RETURN(
-      ShardRouter router,
-      ShardRouter::Create(name, dims, options_.params, options_.num_shards,
-                          registry_));
-  auto collection = std::make_unique<Collection>(name, std::move(router));
-  collection->router.AttachTrace(trace_, name);
-  // Publish the epoch-0 snapshot right away so reads on a collection whose
-  // first batch is still queued get a well-defined (empty) answer. The
-  // apply loop cannot know this collection yet, so the coordinator-thread
-  // contract of PublishableSnapshot() holds trivially.
-  collection->snapshot.store(collection->router.PublishableSnapshot(),
-                             std::memory_order_release);
+  // The constructor publishes the epoch-0 snapshot, so reads on a
+  // collection whose first batch is still queued get a well-defined
+  // (empty) answer.
+  DBSCOUT_ASSIGN_OR_RETURN(core::IncrementalDetector detector,
+                           core::IncrementalDetector::Create(dims,
+                                                             options_.params));
+  auto collection = std::make_unique<Collection>(name, std::move(detector));
   collection->ttl_seconds.store(options_.ttl_seconds,
                                 std::memory_order_relaxed);
   collection->depth_gauge = registry_->GetGauge(
@@ -539,7 +533,7 @@ Response DetectionService::DoQuery(const Request& request) {
         StrFormat("no collection '%s'", request.collection.c_str()));
     return response;
   }
-  const std::shared_ptr<const MergedSnapshot> snap =
+  const std::shared_ptr<const core::IncrementalSnapshot> snap =
       collection->snapshot.load(std::memory_order_acquire);
   WallTimer timer;
   uint64_t distance_comps = 0;
@@ -587,7 +581,7 @@ Response DetectionService::DoStats(const Request& request) {
         StrFormat("no collection '%s'", request.collection.c_str()));
     return response;
   }
-  const std::shared_ptr<const MergedSnapshot> snap =
+  const std::shared_ptr<const core::IncrementalSnapshot> snap =
       collection->snapshot.load(std::memory_order_acquire);
   StatsAnswer& stats = response.stats;
   stats.epoch = snap->epoch();
@@ -602,13 +596,8 @@ Response DetectionService::DoStats(const Request& request) {
       collection->window_begin.load(std::memory_order_relaxed);
   stats.queue_depth = collection->queue_depth.load(std::memory_order_relaxed);
   stats.ttl_seconds = collection->ttl_seconds.load(std::memory_order_relaxed);
-  stats.shards = snap->num_shards();
-  for (size_t s = 0; s < snap->num_shards(); ++s) {
-    const core::IncrementalSnapshot& shard = snap->shard_view(s);
-    stats.shard_rows.push_back(ShardStatsRow{
-        static_cast<uint64_t>(s), shard.live_points(), shard.epoch(),
-        collection->router.shard_queue_depth(s)});
-  }
+  // stats.shards keeps its default of 1 and shard_rows stays empty: one
+  // detector backs every collection.
   {
     MutexLock lock(collection->stats_mu);
     for (const core::PhaseStats& row : collection->recorder.phases()) {
@@ -652,7 +641,7 @@ Response DetectionService::DoSnapshot(const Request& request) {
         StrFormat("no collection '%s'", request.collection.c_str()));
     return response;
   }
-  const std::shared_ptr<const MergedSnapshot> snap =
+  const std::shared_ptr<const core::IncrementalSnapshot> snap =
       collection->snapshot.load(std::memory_order_acquire);
   response.snapshot.epoch = snap->epoch();
   response.snapshot.num_core = snap->num_core();
@@ -831,10 +820,41 @@ bool DetectionService::ComputeExpiry(Collection* collection, double now,
     return false;
   }
   // Advance the window before the removals execute: every id below *end
-  // is already handed to the router pass, and window_begin must never
-  // re-offer an id for expiry.
+  // is already handed to the detector segment, and window_begin must
+  // never re-offer an id for expiry.
   collection->window_begin.store(*end, std::memory_order_relaxed);
   return true;
+}
+
+Status DetectionService::ApplySegment(Collection* collection,
+                                      const PointSet& adds,
+                                      uint64_t expire_begin,
+                                      uint64_t expire_end, uint64_t trace_id,
+                                      SegmentStats* stats) {
+  core::IncrementalDetector& detector = collection->detector;
+  WallTimer timer;
+  for (uint64_t id = expire_begin; id < expire_end; ++id) {
+    const Status removed = detector.Remove(static_cast<uint32_t>(id));
+    if (!removed.ok()) {
+      DBSCOUT_LOG(kWarning) << "collection '" << collection->name
+                            << "': remove id=" << id
+                            << " failed: " << removed.ToString();
+    }
+  }
+  stats->expired = expire_end - expire_begin;
+  stats->expire_seconds = timer.ElapsedSeconds();
+  Status status = Status::OK();
+  if (adds.size() > 0) {
+    status = detector.AddBatchParallel(adds, shard_pool_.get(),
+                                       &stats->apply_stats);
+  }
+  if (trace_ != nullptr) {
+    trace_->AddTracedSpan("detector_apply", "service", trace_id,
+                          collection->name, timer.ElapsedSeconds(),
+                          adds.size());
+  }
+  stats->snapshot = detector.SnapshotNow();
+  return status;
 }
 
 void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
@@ -852,17 +872,16 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     std::vector<OpShape> ops;
     double seconds = 0.0;
     uint64_t errors = 0;
-    uint64_t expired = 0;
-    double expire_seconds = 0.0;
-    uint64_t expire_begin = 0;  // global-id range the router pass removes
+    uint64_t expire_begin = 0;  // id range the detector segment removes
     uint64_t expire_end = 0;
+    SegmentStats segment;
     /// First WAL append/commit error of this collection's pass; fails
     /// every ticket of the collection (durability barrier).
     Status wal_status;
     /// Trace id of the first traced op in this collection's pass: the
-    /// coalesced pass's shard/ghost/WAL/publish spans are attributed to
-    /// it (a pass serves many requests; one representative links the
-    /// trace end-to-end).
+    /// coalesced pass's detector/WAL/publish spans are attributed to it
+    /// (a pass serves many requests; one representative links the trace
+    /// end-to-end).
     uint64_t trace_id = 0;
   };
   std::vector<Work> works;
@@ -893,19 +912,19 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     if (fresh) {
       works.emplace_back();
       works.back().collection = collection;
-      works.back().coalesced = PointSet(collection->router.dims());
+      works.back().coalesced = PointSet(collection->dims);
     }
     Work& work = works[it->second];
     if (work.trace_id == 0) {
       work.trace_id = op.trace_id;
     }
-    const size_t dims = collection->router.dims();
+    const size_t dims = collection->dims;
     const size_t count = op.coords.size() / dims;
     OpShape shape;
     shape.op = &op;
     for (size_t i = 0; i < count; ++i) {
       const std::span<const double> row(op.coords.data() + i * dims, dims);
-      shape.status = collection->router.ValidatePoint(row);
+      shape.status = collection->detector.ValidatePoint(row);
       if (!shape.status.ok()) {
         break;
       }
@@ -921,8 +940,8 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
   }
 
   // ---- Expiry sweep: every collection with a TTL window hands the
-  // aged-out global-id ranges to its router pass below (also reached via
-  // timer wakeups and SweepExpiredNow ticks with an empty/tick-only
+  // aged-out global-id ranges to its detector segment below (also reached
+  // via timer wakeups and SweepExpiredNow ticks with an empty/tick-only
   // batch). A stamp taken at `now` can never age out at `now` (ttl > 0),
   // so computing expiry before this pass's adds are stamped is equivalent
   // to the historical adds-then-sweep order. ----
@@ -945,42 +964,33 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     if (fresh) {
       works.emplace_back();
       works.back().collection = collection;
-      works.back().coalesced = PointSet(collection->router.dims());
+      works.back().coalesced = PointSet(collection->dims);
     }
     works[it->second].expire_begin = begin;
     works[it->second].expire_end = end;
   }
 
-  // ---- One epoch-barriered router pass per touched collection: the
-  // adds scatter to their home + halo regions, the expired ranges remove
-  // home copies and ghost replicas, and the pass returns only after every
-  // touched shard republished its snapshot. Collections run strictly one
-  // after another so the (optional) shared wave pool is never contended
-  // by two detectors. ----
+  // ---- One detector segment per touched collection: the expired range
+  // is removed, the adds applied, and the result snapshotted. Collections
+  // run strictly one after another so the (optional) shared wave pool is
+  // never contended by two detectors. ----
   uint64_t pass_points = 0;
   uint64_t pass_errors = 0;
   for (Work& work : works) {
     Collection* collection = work.collection;
-    const uint64_t base = collection->router.epoch();
+    const uint64_t base = collection->detector.epoch();
     WallTimer timer;
-    ShardRouter::PassStats rstats;
     Status apply_status = Status::OK();
     if (work.coalesced.size() > 0 || work.expire_end > work.expire_begin) {
-      // The router stamps this id onto each shard's Work (shard_apply
-      // spans) and its own ghost_exchange span. Set per pass, so an
-      // untraced pass (id 0) never inherits the previous pass's id.
-      collection->router.SetPassTraceId(work.trace_id);
-      apply_status = collection->router.ApplyPass(
-          work.coalesced, work.expire_begin, work.expire_end,
-          shard_pool_.get(), &rstats);
+      apply_status = ApplySegment(collection, work.coalesced,
+                                  work.expire_begin, work.expire_end,
+                                  work.trace_id, &work.segment);
     }
     work.seconds = timer.ElapsedSeconds();
-    work.expired = rstats.expired;
-    work.expire_seconds = rstats.expire_seconds;
     if (work.coalesced.size() > 0) {
       apply_shards_gauge_->Set(
-          static_cast<int64_t>(rstats.apply_stats.shards));
-      for (double shard_seconds : rstats.apply_stats.shard_seconds) {
+          static_cast<int64_t>(work.segment.apply_stats.shards));
+      for (double shard_seconds : work.segment.apply_stats.shard_seconds) {
         apply_shard_seconds_->Observe(shard_seconds);
       }
     }
@@ -990,19 +1000,11 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
       DBSCOUT_LOG(kWarning) << "coalesced apply failed: "
                             << apply_status.message();
     }
-    // ---- WAL: record what this pass just did, in replay order (plan,
-    // then the expiry, then each batch). Appends only; the group commit
-    // below makes them durable before any ticket completes. ----
+    // ---- WAL: record what this pass just did, in replay order (the
+    // expiry, then each batch). Appends only; the group commit below makes
+    // them durable before any ticket completes. ----
     storage::CollectionStore* store = collection->store.get();
     if (store != nullptr && apply_status.ok()) {
-      if (!collection->plan_logged && collection->router.plan() != nullptr) {
-        storage::WalRecord rec;
-        rec.type = storage::WalRecordType::kPlan;
-        rec.halo = collection->router.plan()->halo();
-        rec.stripes = collection->router.plan()->stripes();
-        work.wal_status = store->LogRecord(rec);
-        collection->plan_logged = work.wal_status.ok();
-      }
       if (work.wal_status.ok() && work.expire_end > work.expire_begin) {
         // The decision is recorded, not recomputed: replay removes exactly
         // this range regardless of wall-clock at recovery time.
@@ -1021,7 +1023,7 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
         if (store != nullptr && shape.points > 0 && work.wal_status.ok()) {
           storage::WalRecord rec;
           rec.type = storage::WalRecordType::kIngest;
-          rec.dims = static_cast<uint16_t>(collection->router.dims());
+          rec.dims = static_cast<uint16_t>(collection->dims);
           rec.base_epoch = cum;  // replay cross-checks against its epoch
           rec.coords = std::move(shape.op->coords);
           work.wal_status = store->LogRecord(rec);
@@ -1069,28 +1071,31 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
   // ---- Publish: one snapshot per touched collection, after all of this
   // pass's mutations. The release store pairs with readers' acquire. ----
   for (Work& work : works) {
-    if (work.coalesced.size() == 0 && work.expired == 0 &&
+    if (work.coalesced.size() == 0 && work.segment.expired == 0 &&
         work.errors == 0) {
       continue;  // nothing happened to this collection
     }
     Collection* collection = work.collection;
-    WallTimer publish_timer;
-    collection->snapshot.store(collection->router.PublishableSnapshot(),
-                               std::memory_order_release);
-    if (trace_ != nullptr) {
-      trace_->AddTracedSpan("snapshot_publish", "service", work.trace_id,
-                            collection->name, publish_timer.ElapsedSeconds(),
-                            work.coalesced.size());
+    if (work.segment.snapshot != nullptr) {
+      WallTimer publish_timer;
+      collection->snapshot.store(std::move(work.segment.snapshot),
+                                 std::memory_order_release);
+      if (trace_ != nullptr) {
+        trace_->AddTracedSpan("snapshot_publish", "service", work.trace_id,
+                              collection->name,
+                              publish_timer.ElapsedSeconds(),
+                              work.coalesced.size());
+      }
     }
-    const uint64_t total_comps = collection->router.distance_computations();
+    const uint64_t total_comps = collection->detector.distance_computations();
     MutexLock lock(collection->stats_mu);
     collection->recorder.Accumulate(
         "apply", work.seconds,
         total_comps - collection->last_distance_comps,
         work.coalesced.size());
-    if (work.expired > 0) {
-      collection->recorder.Accumulate("expire", work.expire_seconds, 0,
-                                      work.expired);
+    if (work.segment.expired > 0) {
+      collection->recorder.Accumulate("expire", work.segment.expire_seconds,
+                                      0, work.segment.expired);
     }
     collection->last_distance_comps = total_comps;
     collection->ingest_errors += work.errors;
@@ -1219,12 +1224,10 @@ Status DetectionService::RecoverCollection(const std::string& name,
                        << "': empty durability dir, nothing to recover";
     return store->Close();
   }
-  DBSCOUT_ASSIGN_OR_RETURN(
-      ShardRouter router,
-      ShardRouter::Create(name, dims, options_.params, options_.num_shards,
-                          registry_));
-  auto collection = std::make_unique<Collection>(name, std::move(router));
-  collection->router.AttachTrace(trace_, name);
+  DBSCOUT_ASSIGN_OR_RETURN(core::IncrementalDetector detector,
+                           core::IncrementalDetector::Create(dims,
+                                                             options_.params));
+  auto collection = std::make_unique<Collection>(name, std::move(detector));
   collection->store = std::move(store);
   collection->depth_gauge = registry_->GetGauge(
       "dbscout_pending_batches",
@@ -1246,45 +1249,43 @@ Status DetectionService::RecoverCollection(const std::string& name,
 
 Status DetectionService::ReplayCollection(
     Collection* collection, const storage::RecoveredCollection& recovered) {
-  ShardRouter& router = collection->router;
-  const size_t dims = router.dims();
+  const core::IncrementalDetector& detector = collection->detector;
+  const size_t dims = collection->dims;
   double ttl = recovered.base.ttl_seconds;
   uint64_t window_begin = recovered.base.window_begin;
   uint64_t replayed_records = 0;
   uint64_t replayed_points = 0;
+  // Every replay step is one detector segment; only the last snapshot is
+  // published.
+  SegmentStats segment;
+  const auto replay = [&](const PointSet& adds, uint64_t expire_begin,
+                          uint64_t expire_end) {
+    return ApplySegment(collection, adds, expire_begin, expire_end,
+                        /*trace_id=*/0, &segment);
+  };
 
-  // The recorded region plan first, so every replayed point routes to the
-  // region the live run chose. (The live plan was built from the first
-  // coalesced batch, which replay batching cannot reconstruct.)
-  if (recovered.base.has_plan) {
-    DBSCOUT_RETURN_IF_ERROR(router.AdoptPlan(grid::RegionPlan::FromStripes(
-        recovered.base.plan_stripes, recovered.base.plan_halo)));
-    collection->plan_logged = true;  // durable in the snapshot already
-  }
+  // Region plans (snapshot has_plan, kPlan records) were written by
+  // servers that partitioned collections over several detectors. They are
+  // read and ignored: ids are global and dense and expiry ranges are
+  // recorded, so one detector replays such a log to the same labels.
 
   // Base state: the snapshot keeps the coordinates of every id < epoch, so
-  // one add pass plus one expiry pass over [0, window_begin) reproduces
-  // its live set — through the exact same apply pipeline as live traffic.
+  // one add segment plus one expiry segment over [0, window_begin)
+  // reproduces its live set — through the same apply path as live traffic.
   if (recovered.base.epoch > 0) {
     PointSet adds{dims};
     for (uint64_t i = 0; i < recovered.base.epoch; ++i) {
       adds.Add(std::span<const double>(
           recovered.base.coords.data() + i * dims, dims));
     }
-    ShardRouter::PassStats stats;
-    DBSCOUT_RETURN_IF_ERROR(
-        router.ApplyPass(adds, 0, 0, shard_pool_.get(), &stats));
+    DBSCOUT_RETURN_IF_ERROR(replay(adds, 0, 0));
     if (window_begin > 0) {
-      ShardRouter::PassStats expire_stats;
-      DBSCOUT_RETURN_IF_ERROR(router.ApplyPass(PointSet{dims}, 0,
-                                               window_begin,
-                                               shard_pool_.get(),
-                                               &expire_stats));
+      DBSCOUT_RETURN_IF_ERROR(replay(PointSet{dims}, 0, window_begin));
     }
     replayed_points += recovered.base.epoch;
   }
 
-  // WAL suffix: every record becomes its own pass, in log order. Labels
+  // WAL suffix: every record becomes its own segment, in log order. Labels
   // are a function of the live point set (batching-independent), so the
   // replayed outlier set equals the pre-crash one at the durable epoch.
   for (const storage::WalRecord& record : recovered.suffix) {
@@ -1302,26 +1303,20 @@ Status DetectionService::ReplayCollection(
       case storage::WalRecordType::kConfigure:
         ttl = record.ttl_seconds;
         break;
-      case storage::WalRecordType::kPlan: {
-        if (router.plan() == nullptr) {
-          DBSCOUT_RETURN_IF_ERROR(router.AdoptPlan(
-              grid::RegionPlan::FromStripes(record.stripes, record.halo)));
-        }
-        collection->plan_logged = true;
-        break;
-      }
+      case storage::WalRecordType::kPlan:
+        break;  // legacy region plan, ignored (see above)
       case storage::WalRecordType::kIngest: {
         if (record.dims != dims) {
           return Status::IoError(
               StrFormat("wal ingest record dims %u != collection dims %zu",
                         record.dims, dims));
         }
-        if (record.base_epoch != router.epoch()) {
+        if (record.base_epoch != detector.epoch()) {
           return Status::IoError(StrFormat(
               "wal ingest record expects base epoch %llu but replay is at "
               "%llu (lost or reordered records)",
               static_cast<unsigned long long>(record.base_epoch),
-              static_cast<unsigned long long>(router.epoch())));
+              static_cast<unsigned long long>(detector.epoch())));
         }
         const size_t count = record.coords.size() / dims;
         PointSet adds{dims};
@@ -1329,28 +1324,24 @@ Status DetectionService::ReplayCollection(
           adds.Add(std::span<const double>(record.coords.data() + i * dims,
                                            dims));
         }
-        ShardRouter::PassStats stats;
-        DBSCOUT_RETURN_IF_ERROR(
-            router.ApplyPass(adds, 0, 0, shard_pool_.get(), &stats));
+        DBSCOUT_RETURN_IF_ERROR(replay(adds, 0, 0));
         replayed_points += count;
         break;
       }
       case storage::WalRecordType::kExpire: {
         if (record.expire_begin != window_begin ||
-            record.expire_end > router.epoch()) {
+            record.expire_end > detector.epoch()) {
           return Status::IoError(StrFormat(
               "wal expire record [%llu, %llu) does not extend window begin "
               "%llu at epoch %llu",
               static_cast<unsigned long long>(record.expire_begin),
               static_cast<unsigned long long>(record.expire_end),
               static_cast<unsigned long long>(window_begin),
-              static_cast<unsigned long long>(router.epoch())));
+              static_cast<unsigned long long>(detector.epoch())));
         }
         if (record.expire_end > record.expire_begin) {
-          ShardRouter::PassStats stats;
-          DBSCOUT_RETURN_IF_ERROR(router.ApplyPass(
-              PointSet{dims}, record.expire_begin, record.expire_end,
-              shard_pool_.get(), &stats));
+          DBSCOUT_RETURN_IF_ERROR(
+              replay(PointSet{dims}, record.expire_begin, record.expire_end));
         }
         window_begin = record.expire_end;
         break;
@@ -1365,15 +1356,17 @@ Status DetectionService::ReplayCollection(
   // window_begin only ever advances, and replay ends exactly where the
   // durable log ended: the epoch never rewinds across a restart.
   collection->window_begin.store(window_begin, std::memory_order_relaxed);
-  if (router.epoch() > window_begin) {
+  if (detector.epoch() > window_begin) {
     // Re-stamp the surviving range at recovery time: the WAL records no
     // wall-clock provenance, so recovered points live one more full TTL
     // from now (never less than they would have).
     collection->stamps.push_back(
-        Collection::StampRange{router.epoch(), clock_()});
+        Collection::StampRange{detector.epoch(), clock_()});
   }
-  collection->snapshot.store(router.PublishableSnapshot(),
-                             std::memory_order_release);
+  if (segment.snapshot != nullptr) {
+    collection->snapshot.store(std::move(segment.snapshot),
+                               std::memory_order_release);
+  }
   replay_records_total_->Increment(replayed_records);
   replay_points_total_->Increment(replayed_points);
   return Status::OK();

@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/protocol.h"
-#include "service/router.h"
 #include "storage/store.h"
 
 namespace dbscout::service {
@@ -40,19 +39,8 @@ struct ServiceOptions {
 
   /// Worker threads the apply loop fans slab-block shard tasks out on
   /// (AddBatchParallel). 0 picks the hardware concurrency; 1 keeps each
-  /// apply pass single-threaded (no worker pool at all). Only the
-  /// single-detector configuration (num_shards == 1) uses this pool; with
-  /// several detector shards each shard runs its waves serially on its
-  /// own loop thread instead.
+  /// apply pass single-threaded (no worker pool at all).
   size_t apply_shards = 0;
-
-  /// Detector shards per collection: cell space is partitioned into this
-  /// many contiguous dim-0 slab regions, each backed by its own
-  /// IncrementalDetector and apply loop, with ghost-halo replication
-  /// keeping the merged outlier set exactly equal to a single detector
-  /// (see ShardRouter). 1 (or 0) keeps the pre-shard single-detector
-  /// layout.
-  size_t num_shards = 1;
 
   /// Sliding-window TTL (seconds) applied to every collection at creation;
   /// 0 means append-only. Points older than the TTL are expired by the
@@ -109,30 +97,28 @@ struct ServiceOptions {
   bool defer_recovery = false;
 };
 
-/// The long-running detection service: one ShardRouter per named
-/// collection (N region-partitioned detector shards; N == 1 is the plain
-/// single-detector layout), maintained by a single-writer apply loop,
-/// with lock-free snapshot reads.
+/// The long-running detection service: one exact IncrementalDetector per
+/// named collection, maintained by a single-writer apply loop, with
+/// lock-free snapshot reads.
 ///
 /// Concurrency design:
 ///  - All mutations flow through one apply loop (a long-running task on a
 ///    private one-thread pool). Each pass swaps out the *entire* pending
 ///    queue, concatenates each collection's batches into one coalesced
-///    router pass (scatter to the detector shards, ghost exchange, epoch
-///    barrier), then publishes one fresh merged snapshot per touched
-///    collection — so N queued batches cost one detector pass and one
-///    snapshot, not N.
+///    detector segment (expiry removals, then AddBatchParallel's
+///    slab-block waves on the shared worker pool), then publishes one
+///    fresh snapshot per touched collection — so N queued batches cost
+///    one detector pass and one snapshot, not N.
 ///  - Sliding windows: collections with a TTL expire ingest batches whose
 ///    stamp has aged past it. Expiry runs inside the apply loop (every
 ///    pass, plus periodic wakeups while any window is configured), so the
 ///    single-writer contract of the detector is preserved; removals use
 ///    the detector's exact Remove() re-derivation.
 ///  - QUERY / STATS / SNAPSHOT never touch the detectors: they read the
-///    latest published MergedSnapshot through an atomic shared_ptr
+///    latest published IncrementalSnapshot through an atomic shared_ptr
 ///    (release store in the apply loop, acquire load here), so read
-///    latency is independent of ingest bursts. The merged snapshot is
-///    epoch-consistent: it is built only behind the router's epoch
-///    barrier, never mid-scatter.
+///    latency is independent of ingest bursts. A snapshot is taken only
+///    at the end of a detector segment, never mid-batch.
 ///  - Admission control: when the pending queue is at max_pending_ingests,
 ///    further INGESTs are refused with kUnavailable (explicit backpressure,
 ///    bounded memory). admission_rejections() counts the sheds.
@@ -219,13 +205,14 @@ class DetectionService {
   Status CompactNow() DBSCOUT_EXCLUDES(collections_mu_);
 
  private:
-  /// Per-collection state. The router (and through it every detector
-  /// shard) is mutated only by the apply loop; `snapshot` is the
-  /// publication point between that writer and all reader threads.
+  /// Per-collection state. The detector is mutated only by the apply
+  /// loop; `snapshot` is the publication point between that writer and
+  /// all reader threads.
   struct Collection {
     std::string name;  // span scope + log context; immutable after create
-    ShardRouter router;
-    std::atomic<std::shared_ptr<const MergedSnapshot>> snapshot;
+    const size_t dims;  // fixed by the first batch; safe from any thread
+    core::IncrementalDetector detector;
+    std::atomic<std::shared_ptr<const core::IncrementalSnapshot>> snapshot;
 
     /// Sliding-window TTL in seconds; 0 = append-only. Written by
     /// CONFIGURE, read by the apply loop.
@@ -256,12 +243,10 @@ class DetectionService {
     /// store has its own mutex (the apply loop appends/commits, service
     /// threads log CONFIGUREs).
     std::unique_ptr<storage::CollectionStore> store;
-    /// Apply-loop-private: whether the router's region plan has been
-    /// recorded in the WAL yet (set at replay when one was recovered).
-    bool plan_logged = false;
-
-    Collection(std::string n, ShardRouter r)
-        : name(std::move(n)), router(std::move(r)) {}
+    Collection(std::string n, core::IncrementalDetector d)
+        : name(std::move(n)), dims(d.dims()), detector(std::move(d)) {
+      snapshot.store(detector.SnapshotNow(), std::memory_order_release);
+    }
   };
 
   /// Completion token a blocking INGEST waits on; signalled after the
@@ -284,7 +269,7 @@ class DetectionService {
     /// difference into the queue-wait histogram.
     double enqueue_seconds = 0.0;
     /// Request trace id (0 = untraced): the apply loop tags this op's
-    /// queue_wait span and the pass's shard/WAL/publish spans with it.
+    /// queue_wait span and the pass's detector/WAL/publish spans with it.
     uint64_t trace_id = 0;
   };
 
@@ -337,17 +322,33 @@ class DetectionService {
 
   void ApplyLoop() DBSCOUT_EXCLUDES(mu_);
   /// One coalesced apply pass: groups `batch` per collection, folds each
-  /// collection's adds plus its aged-out TTL ranges into one
-  /// epoch-barriered router pass, then publishes one merged snapshot per
-  /// touched collection. An empty `batch` is an expiry-only pass
-  /// (periodic window wakeup).
+  /// collection's adds plus its aged-out TTL ranges into one detector
+  /// segment, then publishes one snapshot per touched collection. An
+  /// empty `batch` is an expiry-only pass (periodic window wakeup).
   void ApplyPass(std::vector<PendingIngest> batch)
       DBSCOUT_EXCLUDES(mu_, collections_mu_);
   /// Pops `collection`'s aged-out stamp ranges and advances window_begin,
   /// returning true and the global-id range [*begin, *end) to remove
-  /// (the router pass performs the actual removals). Apply loop only.
+  /// (the detector segment performs the actual removals). Apply loop only.
   bool ComputeExpiry(Collection* collection, double now, uint64_t* begin,
                      uint64_t* end);
+
+  /// What one detector segment did, for the pass's metrics and phase rows.
+  struct SegmentStats {
+    uint64_t expired = 0;
+    double expire_seconds = 0.0;
+    core::ApplyStats apply_stats;
+    /// Taken at the end of the segment (also on failure: it describes
+    /// whatever state the detector holds); the pass publishes it.
+    std::shared_ptr<const core::IncrementalSnapshot> snapshot;
+  };
+  /// One collection's detector segment: removes ids [expire_begin,
+  /// expire_end), then applies `adds` in slab-block waves on shard_pool_,
+  /// then snapshots. Apply loop only; replay calls it before the loop
+  /// starts.
+  Status ApplySegment(Collection* collection, const PointSet& adds,
+                      uint64_t expire_begin, uint64_t expire_end,
+                      uint64_t trace_id, SegmentStats* stats);
 
   const ServiceOptions options_;
   std::function<double()> clock_;
@@ -406,11 +407,10 @@ class DetectionService {
   std::array<obs::Histogram*, kNumVerbSlots> request_seconds_{};
 
   /// Shard workers AddBatchParallel fans block tasks out on; null when the
-  /// resolved apply_shards is 1 (serial apply). Only forwarded to
-  /// single-detector (num_shards == 1) routers: AddBatchParallel's wave
-  /// barriers WaitIdle() the pool, so it must never be shared by
-  /// concurrently-applying detectors. Declared before apply_pool_ so the
-  /// apply loop never outlives its workers.
+  /// resolved apply_shards is 1 (serial apply). AddBatchParallel's wave
+  /// barriers WaitIdle() the pool, so collections apply strictly one
+  /// after another. Declared before apply_pool_ so the apply loop never
+  /// outlives its workers.
   std::unique_ptr<ThreadPool> shard_pool_;
 
   /// Declared last so it is destroyed first: the apply-loop task has

@@ -15,16 +15,19 @@ namespace dbscout::storage {
 /// Logical state of one collection, as reconstructible from disk: the
 /// compaction unit. Coordinates are kept for EVERY global id in
 /// [0, epoch) — expired ids included — because detector global ids are
-/// dense insertion indices that must be preserved across restart (the
-/// router's id->shard table and the prefix-only alive mask both index
-/// from 0). Replay re-adds all of them and then expires [0, window_begin)
-/// in one pass. Compacting the dead prefix out of the id space is future
-/// work (it needs an id-remap epoch in the protocol).
+/// dense insertion indices that must be preserved across restart (by-id
+/// queries and the prefix-only alive mask both index from 0). Replay
+/// re-adds all of them and then expires [0, window_begin) in one pass.
+/// Compacting the dead prefix out of the id space is future work (it
+/// needs an id-remap epoch in the protocol).
 struct CollectionState {
   uint16_t dims = 0;
   uint64_t epoch = 0;         // points ever ingested
   uint64_t window_begin = 0;  // ids below are expired (alive mask is 0*1*)
   double ttl_seconds = 0.0;
+  /// Region plan recorded by servers that spread a collection over
+  /// several detectors. Still carried through compaction so the format
+  /// is unchanged; the service ignores it on replay.
   bool has_plan = false;
   int64_t plan_halo = 0;
   std::vector<grid::Stripe> plan_stripes;

@@ -52,10 +52,9 @@ enum class WalRecordType : uint8_t {
   kExpire = 3,
   /// CONFIGURE: the collection's TTL changed.
   kConfigure = 4,
-  /// The shard router planned its region partition (first non-empty
-  /// coalesced batch). Recorded so sharded replay adopts the identical
-  /// grid::RegionPlan instead of re-planning from differently-batched
-  /// replay input.
+  /// A dim-0 region plan (halo + stripes), written by servers that spread
+  /// a collection over several detectors. No longer written; still
+  /// decoded so such logs stay readable, and ignored on replay.
   kPlan = 5,
 };
 

@@ -1,6 +1,7 @@
 #include "datasets/synthetic.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,20 @@ namespace {
 
 using Generator = LabeledDataset (*)(size_t, double, uint64_t);
 
+struct NamedGenerator {
+  const char* name;
+  Generator generate;
+};
+
+// Prints the generator by name: the default printer shows the raw
+// pointers, which differ from run to run under ASLR and so would make the
+// listed test names unstable.
+void PrintTo(const NamedGenerator& param, std::ostream* os) {
+  *os << param.name;
+}
+
 class SyntheticGeneratorTest
-    : public ::testing::TestWithParam<std::pair<const char*, Generator>> {};
+    : public ::testing::TestWithParam<NamedGenerator> {};
 
 TEST_P(SyntheticGeneratorTest, SizesLabelsAndDeterminism) {
   const auto [name, generate] = GetParam();
@@ -34,11 +47,11 @@ TEST_P(SyntheticGeneratorTest, SizesLabelsAndDeterminism) {
 
 INSTANTIATE_TEST_SUITE_P(
     All, SyntheticGeneratorTest,
-    ::testing::Values(std::make_pair("blobs", &Blobs),
-                      std::make_pair("blobs_vd", &BlobsVariedDensity),
-                      std::make_pair("circles", &Circles),
-                      std::make_pair("moons", &Moons)),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Values(NamedGenerator{"blobs", &Blobs},
+                      NamedGenerator{"blobs_vd", &BlobsVariedDensity},
+                      NamedGenerator{"circles", &Circles},
+                      NamedGenerator{"moons", &Moons}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(SyntheticTest, BlobsOutliersAreSparserThanInliers) {
   const auto ds = Blobs(3000, 0.02, 11);

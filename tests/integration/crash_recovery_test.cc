@@ -5,8 +5,10 @@
 // are in the page cache even before the group fsync), the recovered
 // epoch must sit on a batch boundary of the sent stream, and the
 // restarted snapshot must equal DetectSequential on the recovered
-// prefix — for shard counts 1 and 4, with and without a sliding-window
-// TTL. The serve binary path arrives via the DBSCOUT_SERVE_BIN compile
+// prefix — with a serial (--apply-shards=1) and a 4-worker parallel
+// apply pool, with and without a sliding-window TTL. The same binary must
+// refuse flags it does not know (exit 2) rather than run with defaults.
+// The serve binary path arrives via the DBSCOUT_SERVE_BIN compile
 // definition.
 
 #include <fcntl.h>
@@ -193,13 +195,15 @@ void ExpectOracleSnapshot(Client* client, const std::vector<PointSet>& sent,
   EXPECT_EQ(probe->kind, PointKind::kOutlier) << where;
 }
 
+/// Parameterized by the server's apply-pool worker count (--apply-shards).
 class CrashRecoveryTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CrashRecoveryTest, Kill9MidIngestLosesNoAcknowledgedData) {
   const size_t shards = GetParam();
   const std::string dir = FreshDataDir("kill_shards" +
                                        std::to_string(shards));
-  const std::string shards_flag = "--shards=" + std::to_string(shards);
+  const std::string shards_flag =
+      "--apply-shards=" + std::to_string(shards);
   const std::string dir_flag = "--data-dir=" + dir;
 
   Rng rng(0xdead + shards);
@@ -265,7 +269,8 @@ TEST_P(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
   const size_t shards = GetParam();
   const std::string dir = FreshDataDir("ttl_shards" +
                                        std::to_string(shards));
-  const std::string shards_flag = "--shards=" + std::to_string(shards);
+  const std::string shards_flag =
+      "--apply-shards=" + std::to_string(shards);
   const std::string dir_flag = "--data-dir=" + dir;
 
   Rng rng(0xfeed + shards);
@@ -309,6 +314,50 @@ TEST_P(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, CrashRecoveryTest,
                          ::testing::Values(1, 4));
+
+/// Runs dbscout_serve with `flags` (stdout/stderr discarded) and returns
+/// its exit status, or -1 when it did not exit on its own within 5s.
+int ServeExitCode(const std::vector<std::string>& flags) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(null_fd, STDERR_FILENO);
+    std::vector<std::string> args = {DBSCOUT_SERVE_BIN};
+    args.insert(args.end(), flags.begin(), flags.end());
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  for (int waited_ms = 0; waited_ms < 5000; waited_ms += 10) {
+    int wstatus = 0;
+    if (::waitpid(pid, &wstatus, WNOHANG) == pid) {
+      return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
+  return -1;
+}
+
+TEST(ServeFlagsTest, UnknownFlagsPrintUsageAndExit2) {
+  // A removed flag and a made-up one are both usage errors; the server
+  // never starts on defaults.
+  EXPECT_EQ(ServeExitCode({"--eps=1.0", "--min-pts=4", "--port=0",
+                           "--shards=4"}),
+            2);
+  EXPECT_EQ(ServeExitCode({"--eps=1.0", "--min-pts=4", "--port=0",
+                           "--bogus=1"}),
+            2);
+  EXPECT_EQ(ServeExitCode({"--eps=1.0", "--min-pts=4", "--port=0",
+                           "positional"}),
+            2);
+}
 
 }  // namespace
 }  // namespace dbscout::service

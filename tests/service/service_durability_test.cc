@@ -1,11 +1,12 @@
 // Restart-equality tests for the durability subsystem: a DetectionService
 // with a data_dir is stopped (destroyed) and reconstructed over the same
 // directory, and the recovered collection must publish exactly the
-// labeling DetectSequential computes on the live points — for shard
-// counts 1 and 4, with and without a sliding-window TTL, across explicit
-// compactions, and through a CONFIGURE change. Epochs never rewind across
-// a restart, and a corrupt WAL frame must surface as a recovery error
-// rather than load corrupt points.
+// labeling DetectSequential computes on the live points — with and
+// without a sliding-window TTL, across explicit compactions, through a
+// CONFIGURE change, and from directories whose logs carry region-plan
+// records written by older multi-detector servers. Epochs never rewind
+// across a restart, and a corrupt WAL frame must surface as a recovery
+// error rather than load corrupt points.
 
 #include <algorithm>
 #include <atomic>
@@ -20,9 +21,11 @@
 
 #include "common/rng.h"
 #include "core/dbscout.h"
+#include "grid/regions.h"
 #include "obs/metrics.h"
 #include "service/handle.h"
 #include "service/service.h"
+#include "storage/store.h"
 #include "storage/wal.h"
 #include "testutil.h"
 
@@ -122,12 +125,11 @@ struct DurableRun {
   ServiceHandle handle;
 };
 
-ServiceOptions DurableOptions(const std::string& data_dir, size_t shards,
+ServiceOptions DurableOptions(const std::string& data_dir,
                               obs::Registry* registry,
                               std::atomic<double>* clock) {
   ServiceOptions options;
   options.params = TestParams();
-  options.num_shards = shards;
   options.data_dir = data_dir;
   options.registry = registry;
   if (clock != nullptr) {
@@ -154,7 +156,19 @@ void Ingest(ServiceHandle* handle, PointSet* ingested,
   ASSERT_EQ(response->epoch, ingested->size());
 }
 
-class DurabilityShardedTest : public ::testing::TestWithParam<size_t> {};
+/// Parameterized by the apply-pool worker count (ServiceOptions::
+/// apply_shards): 1 replays and applies serially, 4 runs every pass —
+/// recovery replay included — through AddBatchParallel's slab-block waves.
+class DurabilityShardedTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  ServiceOptions Options(const std::string& data_dir,
+                         obs::Registry* registry,
+                         std::atomic<double>* clock) const {
+    ServiceOptions options = DurableOptions(data_dir, registry, clock);
+    options.apply_shards = GetParam();
+    return options;
+  }
+};
 
 TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
   const size_t shards = GetParam();
@@ -167,7 +181,7 @@ TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(Options(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok());
     Ingest(&run.handle, &ingested,
            testing::UniformPoints(&rng, 100, dims, 0.0, 10.0));
@@ -182,7 +196,7 @@ TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(Options(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok())
         << run.service.recovery_status();
     auto stats = run.handle.Call(StatsRequest("c"));
@@ -190,7 +204,9 @@ TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
     // The epoch never rewinds across a restart: every acknowledged id is
     // still assigned.
     EXPECT_EQ(stats->stats.epoch, epoch_before);
-    EXPECT_EQ(stats->stats.shards, shards);
+    // One detector backs the collection; STATS carries no per-shard rows.
+    EXPECT_EQ(stats->stats.shards, 1u);
+    EXPECT_TRUE(stats->stats.shard_rows.empty());
     ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
                         "after restart");
 
@@ -206,7 +222,7 @@ TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
   // A third incarnation sees the union of both previous runs.
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(Options(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok());
     ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
                         "after second restart");
@@ -225,7 +241,7 @@ TEST_P(DurabilityShardedTest, RestartPreservesSlidingWindow) {
 
   {
     obs::Registry registry;
-    ServiceOptions options = DurableOptions(dir, shards, &registry, &now);
+    ServiceOptions options = Options(dir, &registry, &now);
     options.ttl_seconds = 5.0;
     DurableRun run(options);
     ASSERT_TRUE(run.service.recovery_status().ok());
@@ -247,7 +263,7 @@ TEST_P(DurabilityShardedTest, RestartPreservesSlidingWindow) {
 
   {
     obs::Registry registry;
-    ServiceOptions options = DurableOptions(dir, shards, &registry, &now);
+    ServiceOptions options = Options(dir, &registry, &now);
     options.ttl_seconds = 5.0;
     DurableRun run(options);
     ASSERT_TRUE(run.service.recovery_status().ok())
@@ -283,7 +299,7 @@ TEST_P(DurabilityShardedTest, CompactionThenRestartMatchesOracle) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(Options(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok());
     Ingest(&run.handle, &ingested,
            testing::UniformPoints(&rng, 90, dims, 0.0, 10.0));
@@ -299,7 +315,7 @@ TEST_P(DurabilityShardedTest, CompactionThenRestartMatchesOracle) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(Options(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok())
         << run.service.recovery_status();
     ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
@@ -318,7 +334,7 @@ TEST(DurabilityTest, ConfigurePersistsAcrossRestart) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     Ingest(&run.handle, &ingested,
            testing::UniformPoints(&rng, 40, dims, 0.0, 8.0));
     auto configured = run.handle.Call(ConfigureRequest("c", 3.5));
@@ -327,7 +343,7 @@ TEST(DurabilityTest, ConfigurePersistsAcrossRestart) {
   }
 
   obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
   ASSERT_TRUE(run.service.recovery_status().ok());
   auto stats = run.handle.Call(StatsRequest("c"));
   ASSERT_TRUE(stats.ok() && stats->status.ok());
@@ -342,7 +358,7 @@ TEST(DurabilityTest, AutoCompactionUnderTinySegmentsStaysExact) {
 
   {
     obs::Registry registry;
-    ServiceOptions options = DurableOptions(dir, 1, &registry, nullptr);
+    ServiceOptions options = DurableOptions(dir, &registry, nullptr);
     // Every commit overflows a 512-byte segment, so compaction runs
     // constantly and the restart below recovers almost entirely from
     // snapshots.
@@ -357,60 +373,93 @@ TEST(DurabilityTest, AutoCompactionUnderTinySegmentsStaysExact) {
   }
 
   obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
   ASSERT_TRUE(run.service.recovery_status().ok())
       << run.service.recovery_status();
   ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
                       "after restart");
 }
 
-TEST(DurabilityTest, RestartWithMoreShardsAdoptsRecordedPlan) {
-  const std::string dir = FreshDataDir("upshard");
+TEST(DurabilityTest, LegacyPlanRecordsRecoverIntoOneDetector) {
+  // Servers that spread a collection over several detectors logged their
+  // dim-0 region plan (a kPlan record) before the first ingest. Such a
+  // directory must recover into one detector with exact labels: the plan
+  // is read and ignored, ids are global and dense, and the expiry range
+  // is recorded rather than recomputed.
+  const std::string dir = FreshDataDir("legacy_plan");
   const size_t dims = 2;
-  Rng rng(0x1111);
+  Rng rng(0x4444);
   PointSet ingested(dims);
+  uint64_t expired = 0;
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
-    Ingest(&run.handle, &ingested,
-           testing::UniformPoints(&rng, 80, dims, 0.0, 10.0));
+    storage::StoreOptions store_options;
+    store_options.registry = &registry;
+    store_options.collection = "c";
+    storage::RecoveredCollection recovered;
+    auto store = storage::CollectionStore::Open(
+        dir + "/" + storage::EncodeCollectionDirName("c"), store_options,
+        &recovered);
+    ASSERT_TRUE(store.ok()) << store.status();
+
+    storage::WalRecord create;
+    create.type = storage::WalRecordType::kCreate;
+    create.dims = dims;
+    create.ttl_seconds = 60.0;
+    ASSERT_TRUE((*store)->LogRecord(create).ok());
+
+    storage::WalRecord plan;
+    plan.type = storage::WalRecordType::kPlan;
+    plan.halo = grid::HaloSlabs(dims);
+    plan.stripes = {{0, 4}, {5, 10}, {11, 17}};
+    ASSERT_TRUE((*store)->LogRecord(plan).ok());
+
+    const PointSet batches[] = {
+        testing::UniformPoints(&rng, 80, dims, 0.0, 12.0),
+        testing::ClusteredPoints(&rng, 60, dims, 3, 0.2),
+        testing::UniformPoints(&rng, 40, dims, -1.0, 13.0),
+        testing::ClusteredPoints(&rng, 50, dims, 2, 0.3)};
+    for (const PointSet& batch : batches) {
+      storage::WalRecord ingest;
+      ingest.type = storage::WalRecordType::kIngest;
+      ingest.dims = dims;
+      ingest.base_epoch = ingested.size();
+      ingest.coords = batch.values();
+      ASSERT_TRUE((*store)->LogRecord(ingest).ok());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        ingested.Add(batch[i]);
+      }
+    }
+
+    expired = batches[0].size();
+    storage::WalRecord expire;
+    expire.type = storage::WalRecordType::kExpire;
+    expire.expire_begin = 0;
+    expire.expire_end = expired;
+    ASSERT_TRUE((*store)->LogRecord(expire).ok());
+    ASSERT_TRUE((*store)->Commit().ok());
+    ASSERT_TRUE((*store)->Close().ok());
   }
 
-  // One region fits in four shards: the recorded plan is adopted as-is,
-  // so the sharded replay reproduces the single-shard labeling exactly.
   obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 4, &registry, nullptr));
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
   ASSERT_TRUE(run.service.recovery_status().ok())
       << run.service.recovery_status();
   ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
-                      "after upshard restart");
-}
+                      "after legacy recovery");
+  auto stats = run.handle.Call(StatsRequest("c"));
+  ASSERT_TRUE(stats.ok() && stats->status.ok());
+  EXPECT_EQ(stats->stats.window_begin, expired);
+  EXPECT_EQ(stats->stats.live_points, ingested.size() - expired);
+  EXPECT_EQ(stats->stats.shards, 1u);
+  EXPECT_TRUE(stats->stats.shard_rows.empty());
 
-TEST(DurabilityTest, RestartWithTooFewShardsFailsWithGuidance) {
-  const std::string dir = FreshDataDir("downshard");
-  const size_t dims = 2;
-  Rng rng(0x2222);
-  PointSet ingested(dims);
-
-  {
-    obs::Registry registry;
-    DurableRun run(DurableOptions(dir, 4, &registry, nullptr));
-    Ingest(&run.handle, &ingested,
-           testing::UniformPoints(&rng, 120, dims, 0.0, 12.0));
-    auto stats = run.handle.Call(StatsRequest("c"));
-    ASSERT_TRUE(stats.ok() && stats->status.ok());
-    // The plan actually spread across several regions (otherwise the
-    // restart below would legitimately succeed).
-    ASSERT_GT(stats->stats.shard_rows.size(), 1u);
-  }
-
-  obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
-  EXPECT_FALSE(run.service.recovery_status().ok());
-  EXPECT_NE(run.service.recovery_status().message().find("--shards"),
-            std::string::npos)
-      << run.service.recovery_status();
+  // The recovered collection keeps ingesting with dense ids.
+  Ingest(&run.handle, &ingested,
+         testing::UniformPoints(&rng, 30, dims, 0.0, 12.0));
+  ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
+                      "after post-recovery ingest");
 }
 
 TEST(DurabilityTest, CorruptWalFrameFailsRecovery) {
@@ -421,7 +470,7 @@ TEST(DurabilityTest, CorruptWalFrameFailsRecovery) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     Ingest(&run.handle, &ingested,
            testing::UniformPoints(&rng, 50, dims, 0.0, 10.0));
   }
@@ -441,7 +490,7 @@ TEST(DurabilityTest, CorruptWalFrameFailsRecovery) {
   }
 
   obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
   EXPECT_FALSE(run.service.recovery_status().ok());
 }
 

@@ -1,10 +1,10 @@
 // Observability contract of the detection service: one stamped INGEST on
-// a sharded durable collection must come back as one *connected* trace —
-// every layer's span (admission queue wait, per-shard apply, ghost
-// exchange, WAL group commit, snapshot publish) carrying the same trace
-// id — plus the slow-request log, the HEALTH verb's readiness semantics
-// across deferred crash recovery, the TRACE verb's filtered dumps, and
-// the latency-quantile rows in STATS.
+// a durable collection must come back as one *connected* trace — every
+// layer's span (admission queue wait, detector apply, WAL group commit,
+// snapshot publish) carrying the same trace id — plus the slow-request
+// log, the HEALTH verb's readiness semantics across deferred crash
+// recovery, the TRACE verb's filtered dumps, and the latency-quantile
+// rows in STATS.
 
 #include <algorithm>
 #include <cctype>
@@ -224,16 +224,16 @@ size_t CountSpans(const std::vector<obs::TraceSpan>& spans, uint64_t id,
   return n;
 }
 
-// The tentpole acceptance scenario: a single stamped INGEST against a
-// 4-shard durable collection produces one trace whose spans cover every
-// layer, all linked by the request's id, and the TRACE dump of that id is
+// A single stamped INGEST against a durable collection applied on a
+// 4-worker pool produces one trace whose spans cover every layer, all
+// linked by the request's id, and the TRACE dump of that id is
 // schema-valid Chrome JSON.
 TEST(ObservabilityTest, ShardedDurableIngestYieldsOneConnectedTrace) {
   const size_t dims = 2;
   ServiceOptions options;
   options.params.eps = 1.0;
   options.params.min_pts = 4;
-  options.num_shards = 4;
+  options.apply_shards = 4;
   options.data_dir = FreshDir("obs_connected_trace");
   obs::Registry registry;
   options.registry = &registry;
@@ -244,11 +244,11 @@ TEST(ObservabilityTest, ShardedDurableIngestYieldsOneConnectedTrace) {
   ServiceHandle handle(&service);
 
   Rng rng(20260809);
-  // A wide untraced batch first, so the region plan spans [0, 12) and the
-  // traced batch below scatters onto all four shards.
-  auto plan = handle.Call(IngestRequest(
+  // An untraced batch first, so the traced one below lands on a
+  // populated detector.
+  auto first = handle.Call(IngestRequest(
       "c", dims, Flatten(testing::UniformPoints(&rng, 160, dims, 0.0, 12.0))));
-  ASSERT_TRUE(plan.ok() && plan->status.ok()) << plan->status;
+  ASSERT_TRUE(first.ok() && first->status.ok()) << first->status;
 
   const uint64_t id = 0x0b5c0a7d5eedull;
   auto traced = handle.Call(IngestRequest(
@@ -261,9 +261,10 @@ TEST(ObservabilityTest, ShardedDurableIngestYieldsOneConnectedTrace) {
   const auto spans = trace.Spans();
   EXPECT_EQ(CountSpans(spans, id, "ingest"), 1u);  // root request span
   EXPECT_EQ(CountSpans(spans, id, "queue_wait"), 1u);
-  // Uniform points across the full planned range touch every slab region.
-  EXPECT_GE(CountSpans(spans, id, "shard_apply"), 4u);
-  EXPECT_EQ(CountSpans(spans, id, "ghost_exchange"), 1u);
+  // One detector segment per touched collection, however many apply
+  // workers it fans out on; no router layer.
+  EXPECT_EQ(CountSpans(spans, id, "detector_apply"), 1u);
+  EXPECT_EQ(CountSpans(spans, id, "ghost_exchange"), 0u);
   EXPECT_EQ(CountSpans(spans, id, "wal_commit"), 1u);
   EXPECT_EQ(CountSpans(spans, id, "snapshot_publish"), 1u);
   // Every one of the request's spans is scoped to its collection.
@@ -281,7 +282,7 @@ TEST(ObservabilityTest, ShardedDurableIngestYieldsOneConnectedTrace) {
   const std::string hex =
       StrFormat("%016llx", static_cast<unsigned long long>(id));
   EXPECT_NE(json.find("\"trace_id\":\"" + hex + "\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"shard_apply\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"detector_apply\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"wal_commit\""), std::string::npos);
 
   service.Stop();

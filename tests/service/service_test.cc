@@ -1,8 +1,11 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -529,6 +532,215 @@ TEST(ServiceTest, StatsReportsQueueDepthWhilePaused) {
   service.Drain();
   stats = handle.Call(StatsRequest("c"));
   EXPECT_EQ(stats->stats.queue_depth, 0u);
+}
+
+/// Asserts the collection's published snapshot equals DetectSequential on
+/// its live points: same per-point kinds (live points only — expired ones
+/// keep their last label) and the same live outlier count.
+void ExpectMatchesOracle(ServiceHandle* handle, const PointSet& ingested,
+                         const core::Params& params, const char* where) {
+  auto snapshot = handle->Call(SnapshotRequest("c"));
+  ASSERT_TRUE(snapshot.ok() && snapshot->status.ok()) << where;
+  const SnapshotAnswer& snap = snapshot->snapshot;
+  ASSERT_EQ(snap.epoch, ingested.size()) << where;
+
+  PointSet live(ingested.dims());
+  for (size_t i = 0; i < ingested.size(); ++i) {
+    if (snap.alive[i] != 0) {
+      live.Add(ingested[i]);
+    }
+  }
+  auto oracle = core::DetectSequential(live, params);
+  ASSERT_TRUE(oracle.ok()) << where;
+  size_t j = 0;
+  for (size_t i = 0; i < ingested.size(); ++i) {
+    if (snap.alive[i] == 0) {
+      continue;
+    }
+    ASSERT_EQ(snap.kinds[i], oracle->kinds[j])
+        << where << ": live point " << i << " (oracle index " << j << ")";
+    ++j;
+  }
+
+  auto stats = handle->Call(StatsRequest("c"));
+  ASSERT_TRUE(stats.ok() && stats->status.ok()) << where;
+  EXPECT_EQ(stats->stats.live_points, live.size()) << where;
+  EXPECT_EQ(stats->stats.num_outliers,
+            static_cast<uint64_t>(std::count(oracle->kinds.begin(),
+                                             oracle->kinds.end(),
+                                             PointKind::kOutlier)))
+      << where;
+}
+
+/// One randomized windowed workload on an `apply_shards`-worker apply
+/// pool: rounds of clustered, uniform and slab-boundary points under a
+/// TTL window. With more than one worker every pass runs
+/// AddBatchParallel's slab-block waves. The oracle is re-checked after
+/// every ingest and every expiry sweep.
+void RunApplyShardedWorkload(size_t apply_shards, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "apply_shards=" << apply_shards);
+  const size_t dims = 2;
+  core::Params params;
+  params.eps = 1.0;
+  params.min_pts = 4;
+  // Multiples of the cell side are exact dim-0 slab boundaries.
+  const double side = params.eps / std::sqrt(static_cast<double>(dims));
+
+  std::atomic<double> now{0.0};
+  ServiceOptions options = MakeOptions(params.eps, params.min_pts);
+  options.apply_shards = apply_shards;
+  options.clock = [&now] { return now.load(); };
+  obs::Registry registry;
+  options.registry = &registry;
+  DetectionService service(options);
+  ServiceHandle handle(&service);
+
+  Rng rng(seed);
+  PointSet ingested(dims);
+  auto ingest = [&](const PointSet& batch) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ingested.Add(batch[i]);
+    }
+    auto response = handle.Call(
+        IngestRequest("c", dims, Flatten(batch, 0, batch.size())));
+    ASSERT_TRUE(response.ok() && response->status.ok());
+    ASSERT_EQ(response->epoch, ingested.size());
+  };
+
+  ingest(testing::UniformPoints(&rng, 120, dims, 0.0, 12.0));
+  ExpectMatchesOracle(&handle, ingested, params, "after first batch");
+  ASSERT_TRUE(handle.Call(ConfigureRequest("c", 5.0))->status.ok());
+
+  for (int round = 1; round <= 5; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    PointSet batch(dims);
+    // Tight clusters at random centers: dense cores whose neighborhoods
+    // straddle slab blocks.
+    const PointSet clusters =
+        testing::ClusteredPoints(&rng, 50, dims, 3, 0.2);
+    for (size_t i = 0; i < clusters.size(); ++i) {
+      batch.Add(clusters[i]);
+    }
+    const PointSet noise = testing::UniformPoints(&rng, 20, dims, -2.0, 14.0);
+    for (size_t i = 0; i < noise.size(); ++i) {
+      batch.Add(noise[i]);
+    }
+    // Slab-boundary points: x exactly on a dim-0 slab edge, plus one
+    // point just to each side of it.
+    for (int k = 0; k < 6; ++k) {
+      const double edge = static_cast<double>(rng.NextBounded(17)) * side;
+      const double y = rng.Uniform(0.0, 3.0);
+      batch.Add({edge, y});
+      batch.Add({std::nextafter(edge, -1e9), y});
+      batch.Add({std::nextafter(edge, 1e9), y});
+    }
+    ingest(batch);
+    ExpectMatchesOracle(&handle, ingested, params, "after ingest");
+
+    // Age the window by 2s per round: round r's sweep expires everything
+    // stamped at or before t = 2r - 5 (the first batch, then each round's
+    // batch in turn).
+    now.store(2.0 * round);
+    service.SweepExpiredNow();
+    ExpectMatchesOracle(&handle, ingested, params, "after sweep");
+  }
+
+  // Final drain: everything ages out, then one fresh batch over the old
+  // coordinate range still labels exactly.
+  now.store(1000.0);
+  service.SweepExpiredNow();
+  EXPECT_EQ(handle.Call(StatsRequest("c"))->stats.live_points, 0u);
+  ingest(testing::ClusteredPoints(&rng, 60, dims, 2, 0.3));
+  ExpectMatchesOracle(&handle, ingested, params, "after refill");
+}
+
+TEST(ServiceShardedTest, OneShardMatchesOracle) {
+  RunApplyShardedWorkload(1, 20260809);
+}
+
+TEST(ServiceShardedTest, TwoShardsMatchOracle) {
+  RunApplyShardedWorkload(2, 20260810);
+}
+
+TEST(ServiceShardedTest, FourShardsMatchOracle) {
+  RunApplyShardedWorkload(4, 20260811);
+}
+
+TEST(ServiceShardedTest, SevenShardsMatchOracle) {
+  RunApplyShardedWorkload(7, 20260812);
+}
+
+TEST(ServiceShardedTest, ShardCountsAgreeAcrossConfigurations) {
+  // The same deterministic stream through 1, 2 and 4 apply workers must
+  // publish identical counters (epoch, live, core, outliers): the worker
+  // count is an implementation detail of the apply pass.
+  struct Totals {
+    uint64_t epoch, live, core, outliers;
+  };
+  std::vector<Totals> totals;
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    ServiceOptions options = MakeOptions(1.0, 4);
+    options.apply_shards = shards;
+    obs::Registry registry;
+    options.registry = &registry;
+    DetectionService service(options);
+    ServiceHandle handle(&service);
+    Rng rng(777);
+    const PointSet points = testing::ClusteredPoints(&rng, 400, 2, 4, 0.25);
+    ASSERT_TRUE(
+        handle.Call(IngestRequest("c", 2, Flatten(points, 0, points.size())))
+            ->status.ok());
+    auto stats = handle.Call(StatsRequest("c"));
+    ASSERT_TRUE(stats.ok() && stats->status.ok());
+    EXPECT_EQ(stats->stats.shards, 1u);
+    totals.push_back(Totals{stats->stats.epoch, stats->stats.live_points,
+                            stats->stats.num_core,
+                            stats->stats.num_outliers});
+  }
+  for (size_t i = 1; i < totals.size(); ++i) {
+    EXPECT_EQ(totals[i].epoch, totals[0].epoch);
+    EXPECT_EQ(totals[i].live, totals[0].live);
+    EXPECT_EQ(totals[i].core, totals[0].core);
+    EXPECT_EQ(totals[i].outliers, totals[0].outliers);
+  }
+}
+
+TEST(ServiceShardedTest, ShardedProbeQueriesMatchUnsharded) {
+  // Probe answers from a detector built by 4-worker parallel apply must
+  // equal those from a serially applied one, for probes everywhere in the
+  // range.
+  Rng rng(4242);
+  const PointSet points = testing::ClusteredPoints(&rng, 300, 2, 3, 0.2);
+  const std::vector<double> coords = Flatten(points, 0, points.size());
+  auto make_service = [](size_t shards, obs::Registry* registry) {
+    ServiceOptions options = MakeOptions(1.0, 5);
+    options.apply_shards = shards;
+    options.registry = registry;
+    return std::make_unique<DetectionService>(options);
+  };
+  obs::Registry r1, r4;
+  auto single = make_service(1, &r1);
+  auto sharded = make_service(4, &r4);
+  ServiceHandle single_handle(single.get());
+  ServiceHandle sharded_handle(sharded.get());
+  ASSERT_TRUE(
+      single_handle.Call(IngestRequest("c", 2, coords))->status.ok());
+  ASSERT_TRUE(
+      sharded_handle.Call(IngestRequest("c", 2, coords))->status.ok());
+
+  for (int i = 0; i < 200; ++i) {
+    Request probe;
+    probe.verb = Verb::kQuery;
+    probe.collection = "c";
+    probe.query_by_id = false;
+    probe.want_score = true;
+    probe.query_point = {rng.Uniform(-12.0, 12.0), rng.Uniform(-12.0, 12.0)};
+    const Response a = single_handle.Call(probe).value();
+    const Response b = sharded_handle.Call(probe).value();
+    ASSERT_TRUE(a.status.ok() && b.status.ok());
+    EXPECT_EQ(a.query.kind, b.query.kind) << "probe " << i;
+    EXPECT_EQ(a.query.score, b.query.score) << "probe " << i;
+  }
 }
 
 }  // namespace

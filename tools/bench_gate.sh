@@ -75,8 +75,6 @@ GATES = [
     ("service", "ingest.async_points_per_sec", "higher"),
     ("service", "ingest.blocking_points_per_sec", "higher"),
     ("service", "windowed.points_per_sec", "higher"),
-    ("service", "sharded.shards1_points_per_sec", "higher"),
-    ("service", "sharded.shardsN_points_per_sec", "higher"),
     ("service", "durable.never_points_per_sec", "higher"),
     ("service", "durable.interval_points_per_sec", "higher"),
     ("service", "query.by_id.p50_us", "lower"),

@@ -5,17 +5,18 @@
 //
 // usage: dbscout_serve --eps=X --min-pts=N [--host=H] [--port=P]
 //                      [--max-sessions=S] [--max-pending=Q]
-//                      [--shards=N] [--apply-shards=K] [--ttl-seconds=T]
+//                      [--apply-shards=K] [--ttl-seconds=T]
 //                      [--data-dir=DIR] [--wal-fsync=always|interval|never]
 //                      [--snapshot-interval=BYTES] [--trace-out=FILE]
 //                      [--slow-request-ms=N] [--trace-spans=CAP]
 //
-// --shards=N backs every collection with N region-partitioned detector
-// shards (ghost-halo replication keeps the merged outlier set exact);
-// STATS then reports one row per shard. Default 1 = single detector.
-// --apply-shards=K sets the shard worker count the apply loop fans
-// slab-block tasks out on (0 = hardware concurrency, 1 = serial apply);
-// it only applies to the --shards=1 layout.
+// Every argument must be one of the --name=value flags above; anything
+// else (a typo, a removed flag such as --shards, a positional argument)
+// prints the usage line and exits 2.
+//
+// Each collection is one exact detector. --apply-shards=K sets the worker
+// count the apply loop fans a batch's slab-block tasks out on
+// (0 = hardware concurrency, 1 = serial apply).
 // --ttl-seconds=T gives every collection a sliding window: points older
 // than T seconds are expired by the apply loop (0 = append-only; override
 // per collection with dbscout_client --set-ttl).
@@ -31,7 +32,7 @@
 // over partial recovery would silently drop acknowledged data.
 //
 // Tracing is always on: every request's spans (frame decode, queue wait,
-// per-shard apply, WAL commit, snapshot publish, reply encode) land in an
+// detector apply, WAL commit, snapshot publish, reply encode) land in an
 // in-memory ring buffer (--trace-spans=CAP spans, default 16384) that
 // `dbscout_client --trace-dump` reads live over the TRACE verb.
 // --trace-out=FILE additionally writes the ring's tail as Chrome/Perfetto
@@ -51,6 +52,7 @@
 #include <atomic>
 #include <csignal>
 #include <iostream>
+#include <set>
 #include <string>
 
 #include "common/str_util.h"
@@ -65,9 +67,14 @@ std::atomic<bool> g_stop{false};
 
 void HandleStopSignal(int /*signum*/) { g_stop.store(true); }
 
+// Names FlagValue() has been asked for. Once every flag has been looked
+// up, an argument outside this set is one the server does not understand.
+std::set<std::string> g_known_flags;
+
 // Minimal --name=value parser (the dbscout CLI's Flags class wants a
 // subcommand word, which this single-purpose tool doesn't have).
 const char* FlagValue(int argc, char** argv, const std::string& name) {
+  g_known_flags.insert(name);
   const std::string prefix = "--" + name + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -78,10 +85,24 @@ const char* FlagValue(int argc, char** argv, const std::string& name) {
   return nullptr;
 }
 
+// The first argument that is not a --name=value flag FlagValue() has been
+// asked for, or null. Call after the last FlagValue().
+const char* UnknownArgument(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    if (arg.rfind("--", 0) != 0 || eq == std::string::npos ||
+        g_known_flags.count(arg.substr(2, eq - 2)) == 0) {
+      return argv[i];
+    }
+  }
+  return nullptr;
+}
+
 int Usage() {
   std::cerr << "usage: dbscout_serve --eps=X --min-pts=N [--host=H] "
                "[--port=P] [--max-sessions=S] [--max-pending=Q] "
-               "[--shards=N] [--apply-shards=K] [--ttl-seconds=T] "
+               "[--apply-shards=K] [--ttl-seconds=T] "
                "[--data-dir=DIR] [--wal-fsync=always|interval|never] "
                "[--snapshot-interval=BYTES] [--trace-out=FILE] "
                "[--slow-request-ms=N] [--trace-spans=CAP]\n";
@@ -114,13 +135,6 @@ int main(int argc, char** argv) {
       return Usage();
     }
     service_options.max_pending_ingests = *value;
-  }
-  if (const char* text = FlagValue(argc, argv, "shards")) {
-    auto value = ParseUint64(text);
-    if (!value.ok() || *value == 0) {
-      return Usage();
-    }
-    service_options.num_shards = *value;
   }
   if (const char* text = FlagValue(argc, argv, "apply-shards")) {
     auto value = ParseUint64(text);
@@ -195,6 +209,10 @@ int main(int argc, char** argv) {
       return Usage();
     }
     server_options.max_sessions = *value;
+  }
+  if (const char* unknown = UnknownArgument(argc, argv)) {
+    std::cerr << "dbscout_serve: unknown argument '" << unknown << "'\n";
+    return Usage();
   }
 
   // Bind the port before replaying the WAL: during recovery the server is
