@@ -62,8 +62,8 @@ std::vector<PointKind> IncrementalSnapshot::Kinds() const {
 
 std::vector<uint32_t> IncrementalSnapshot::Outliers() const {
   std::vector<uint32_t> out;
-  for (size_t i = 0; i < kinds_.size(); ++i) {
-    if (kinds_[i] == PointKind::kOutlier && alive_[i] != 0) {
+  for (size_t i = window_begin_; i < kinds_.size(); ++i) {
+    if (kinds_[i] == PointKind::kOutlier) {
       out.push_back(static_cast<uint32_t>(i));
     }
   }
@@ -517,9 +517,7 @@ Result<uint32_t> IncrementalDetector::Add(std::span<const double> point) {
   points_.PushBack(point);
   kinds_.PushBack(PointKind::kOutlier);  // provisional
   neighbor_counts_.PushBack(1);          // itself
-  alive_.PushBack(1);
   num_outliers_ += 1;
-  live_points_ += 1;
 
   Cell* home_cell = GetOrCreateCell(CoordOf(point));
   ApplyCtx ctx;
@@ -568,7 +566,6 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     points_.PushBack(p);
     kinds_.PushBack(PointKind::kOutlier);  // provisional
     neighbor_counts_.PushBack(1);          // itself
-    alive_.PushBack(1);
     const grid::CellCoord home = CoordOf(p);
     auto [it, fresh] = group_of.try_emplace(home, groups.size());
     if (fresh) {
@@ -580,7 +577,6 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     groups[it->second].members.push_back(base + static_cast<uint32_t>(i));
   }
   num_outliers_ += n;
-  live_points_ += n;
   // Create every home cell now, serially: the wave tasks then only read
   // the cell map's structure and the (now stable) cached neighbor lists,
   // never insert, so no rehash or cache rewiring can happen under a
@@ -660,12 +656,11 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
 }
 
 Status IncrementalDetector::Remove(uint32_t id) {
-  if (id >= kinds_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("remove: id %u was never inserted", id));
-  }
-  if (alive_[id] == 0) {
-    return Status::NotFound(StrFormat("remove: id %u already removed", id));
+  if (id != window_begin_ || id >= kinds_.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "remove: id %u is not the oldest live id (window [%llu, %llu))", id,
+        static_cast<unsigned long long>(window_begin_),
+        static_cast<unsigned long long>(kinds_.size())));
   }
   const size_t dims = points_.width();
   const uint32_t min_pts = static_cast<uint32_t>(params_.min_pts);
@@ -699,8 +694,7 @@ Status IncrementalDetector::Remove(uint32_t id) {
   }
   // Emptied cells stay in the map as stubs: the cached neighbor pointers
   // wired at creation must never dangle.
-  alive_.Set(id, 0);
-  live_points_ -= 1;
+  window_begin_ += 1;
 
   // ---- Decrement the counts of id's eps-neighbors; a core point whose
   // count falls off the minPts threshold demotes. Border neighbors of a
@@ -820,8 +814,8 @@ std::vector<PointKind> IncrementalDetector::kinds() const {
 
 std::vector<uint32_t> IncrementalDetector::Outliers() const {
   std::vector<uint32_t> out;
-  for (size_t i = 0; i < kinds_.size(); ++i) {
-    if (kinds_[i] == PointKind::kOutlier && alive_[i] != 0) {
+  for (size_t i = window_begin_; i < kinds_.size(); ++i) {
+    if (kinds_[i] == PointKind::kOutlier) {
       out.push_back(static_cast<uint32_t>(i));
     }
   }
@@ -837,7 +831,6 @@ std::shared_ptr<const IncrementalSnapshot> IncrementalDetector::SnapshotNow() {
   snap->points_ = points_.Freeze();
   snap->kinds_ = kinds_.Freeze();
   snap->neighbor_counts_ = neighbor_counts_.Freeze();
-  snap->alive_ = alive_.Freeze();
   snap->cells_.reserve(cells_.size());
   for (const auto& [coord, cell] : cells_) {
     snap->cells_.emplace(coord,
@@ -846,7 +839,7 @@ std::shared_ptr<const IncrementalSnapshot> IncrementalDetector::SnapshotNow() {
   }
   snap->num_core_ = num_core_;
   snap->num_outliers_ = num_outliers_;
-  snap->live_points_ = live_points_;
+  snap->window_begin_ = window_begin_;
   // From here on, the first write into any chunk or cell the snapshot
   // shares must clone it.
   ++freeze_serial_;

@@ -61,22 +61,23 @@ class IncrementalSnapshot {
 
   /// Number of points this snapshot covers; labels answer for exactly the
   /// first epoch() points of the insertion sequence (removed points carry
-  /// their last label but are excluded from Outliers() and flagged dead in
-  /// the alive mask).
+  /// their last label but are excluded from Outliers()).
   uint64_t epoch() const { return kinds_.size(); }
   size_t dims() const { return points_.width(); }
   size_t num_core() const { return num_core_; }
   size_t num_outliers() const { return num_outliers_; }
   size_t num_cells() const { return cells_.size(); }
+  /// First live id: every id below it was removed (window expiry).
+  uint64_t window_begin() const { return window_begin_; }
   /// Points inserted and not yet removed at this epoch.
-  size_t live_points() const { return live_points_; }
+  size_t live_points() const { return epoch() - window_begin_; }
   const Params& params() const { return params_; }
 
   /// Label of point i (< epoch()) at this epoch.
   PointKind KindOf(uint32_t i) const { return kinds_[i]; }
 
-  /// False when point i was removed (explicitly or by window expiry).
-  bool IsAlive(uint32_t i) const { return alive_[i] != 0; }
+  /// False when point i was removed, i.e. lies below window_begin().
+  bool IsAlive(uint32_t i) const { return i >= window_begin_; }
 
   /// Materialized copy of all labels, index-aligned with insertion order.
   /// Removed points keep the label they had when removed.
@@ -120,11 +121,10 @@ class IncrementalSnapshot {
   ChunkedRows::Frozen points_;
   CowChunkedVector<PointKind>::Frozen kinds_;
   CowChunkedVector<uint32_t>::Frozen neighbor_counts_;
-  CowChunkedVector<uint8_t>::Frozen alive_;
   std::unordered_map<grid::CellCoord, SnapCell, grid::CellCoordHash> cells_;
   size_t num_core_ = 0;
   size_t num_outliers_ = 0;
-  size_t live_points_ = 0;
+  uint64_t window_begin_ = 0;
 };
 
 /// Exact incremental DBSCOUT for online streams (the paper's motivation of
@@ -146,8 +146,10 @@ class IncrementalSnapshot {
 /// transitions: counts of the removed point's eps-neighbors decrement
 /// (demoting cores that fall off the minPts threshold), and border points
 /// that were covered only by the removed/demoted cores are re-checked and
-/// may fall to outlier. Cells hold only live points, so scans never see a
-/// removed point; the alive mask records removals for snapshot readers.
+/// may fall to outlier. Removal is prefix-only — a sliding window expires
+/// its oldest points first — so the live set is always the id range
+/// [window_begin(), epoch()) and one integer records every removal. Cells
+/// hold only live points, so scans never see a removed point.
 ///
 /// Threading contract: all mutating calls (Add/AddBatch/AddBatchParallel/
 /// Remove/SnapshotNow) must come from one writer at a time; SnapshotNow()
@@ -190,11 +192,12 @@ class IncrementalDetector {
   /// apply pass.
   Status ValidatePoint(std::span<const double> point) const;
 
-  /// Removes point `id` from the live set and re-derives every affected
-  /// label (core -> non-core demotions of points whose neighbor count
-  /// falls off the minPts threshold, border -> outlier demotions of
-  /// points that lose their last covering core). InvalidArgument when id
-  /// was never inserted; NotFound when already removed.
+  /// Removes the oldest live point, which must be `id` (== window_begin()),
+  /// and re-derives every affected label (core -> non-core demotions of
+  /// points whose neighbor count falls off the minPts threshold, border ->
+  /// outlier demotions of points that lose their last covering core).
+  /// InvalidArgument for any other id: one never inserted, one already
+  /// removed, or a live id that is not the oldest.
   Status Remove(uint32_t id);
 
   size_t size() const { return kinds_.size(); }
@@ -205,10 +208,12 @@ class IncrementalDetector {
   /// indices are stable for the detector's lifetime.
   uint64_t epoch() const { return kinds_.size(); }
 
+  /// First live id; the next Remove() must name it.
+  uint64_t window_begin() const { return window_begin_; }
   /// Points inserted and not yet removed.
-  size_t live_points() const { return live_points_; }
-  /// False when point i was removed.
-  bool IsAlive(uint32_t i) const { return alive_[i] != 0; }
+  size_t live_points() const { return epoch() - window_begin_; }
+  /// False when point i was removed, i.e. lies below window_begin().
+  bool IsAlive(uint32_t i) const { return i >= window_begin_; }
 
   /// Current classification of point i.
   PointKind KindOf(uint32_t i) const { return kinds_[i]; }
@@ -334,11 +339,10 @@ class IncrementalDetector {
   ChunkedRows points_;
   CowChunkedVector<PointKind> kinds_;
   CowChunkedVector<uint32_t> neighbor_counts_;  // |{q: dist <= eps}|, self incl.
-  CowChunkedVector<uint8_t> alive_;
   std::unordered_map<grid::CellCoord, Cell, grid::CellCoordHash> cells_;
   size_t num_core_ = 0;
   size_t num_outliers_ = 0;
-  size_t live_points_ = 0;
+  uint64_t window_begin_ = 0;  // ids below are removed
   uint64_t freeze_serial_ = 0;
   uint64_t distance_comps_ = 0;
 };

@@ -178,8 +178,9 @@ struct StatsAnswer {
 };
 
 /// SNAPSHOT result payload: the exact labeling of the first `epoch` points.
-/// `alive` parallels `kinds`: 0 marks points removed or expired out of the
-/// sliding window (their kinds entry is the last label they carried).
+/// `alive` parallels `kinds`: 0 marks points expired out of the sliding
+/// window (their kinds entry is the last label they carried). The service
+/// sends it as a prefix of zeros up to window_begin, then ones.
 struct SnapshotAnswer {
   uint64_t epoch = 0;
   uint64_t num_core = 0;

@@ -592,8 +592,7 @@ Response DetectionService::DoStats(const Request& request) {
   stats.admission_rejections = admission_rejections();
   stats.uptime_seconds = UptimeSeconds();
   stats.live_points = snap->live_points();
-  stats.window_begin =
-      collection->window_begin.load(std::memory_order_relaxed);
+  stats.window_begin = snap->window_begin();
   stats.queue_depth = collection->queue_depth.load(std::memory_order_relaxed);
   stats.ttl_seconds = collection->ttl_seconds.load(std::memory_order_relaxed);
   // stats.shards keeps its default of 1 and shard_rows stays empty: one
@@ -647,11 +646,9 @@ Response DetectionService::DoSnapshot(const Request& request) {
   response.snapshot.num_core = snap->num_core();
   response.snapshot.num_cells = snap->num_cells();
   response.snapshot.kinds = snap->Kinds();
-  response.snapshot.alive.reserve(snap->epoch());
-  for (uint64_t i = 0; i < snap->epoch(); ++i) {
-    response.snapshot.alive.push_back(
-        snap->IsAlive(static_cast<uint32_t>(i)) ? 1 : 0);
-  }
+  // The wire keeps a per-id alive mask; it is the prefix 0^window_begin.
+  response.snapshot.alive.assign(snap->epoch(), 1);
+  std::fill_n(response.snapshot.alive.begin(), snap->window_begin(), 0);
   return response;
 }
 
@@ -806,7 +803,7 @@ void DetectionService::ApplyLoop() {
 
 bool DetectionService::ComputeExpiry(Collection* collection, double now,
                                      uint64_t* begin, uint64_t* end) {
-  *begin = *end = collection->window_begin.load(std::memory_order_relaxed);
+  *begin = *end = collection->detector.window_begin();
   const double ttl = collection->ttl_seconds.load(std::memory_order_relaxed);
   if (ttl <= 0.0 || collection->stamps.empty()) {
     return false;
@@ -816,14 +813,7 @@ bool DetectionService::ComputeExpiry(Collection* collection, double now,
     *end = collection->stamps.front().end_epoch;
     collection->stamps.pop_front();
   }
-  if (*end == *begin) {
-    return false;
-  }
-  // Advance the window before the removals execute: every id below *end
-  // is already handed to the detector segment, and window_begin must
-  // never re-offer an id for expiry.
-  collection->window_begin.store(*end, std::memory_order_relaxed);
-  return true;
+  return *end > *begin;
 }
 
 Status DetectionService::ApplySegment(Collection* collection,
@@ -833,18 +823,17 @@ Status DetectionService::ApplySegment(Collection* collection,
                                       SegmentStats* stats) {
   core::IncrementalDetector& detector = collection->detector;
   WallTimer timer;
-  for (uint64_t id = expire_begin; id < expire_end; ++id) {
-    const Status removed = detector.Remove(static_cast<uint32_t>(id));
-    if (!removed.ok()) {
-      DBSCOUT_LOG(kWarning) << "collection '" << collection->name
-                            << "': remove id=" << id
-                            << " failed: " << removed.ToString();
-    }
-  }
-  stats->expired = expire_end - expire_begin;
-  stats->expire_seconds = timer.ElapsedSeconds();
   Status status = Status::OK();
-  if (adds.size() > 0) {
+  stats->expired = 0;
+  for (uint64_t id = expire_begin; id < expire_end; ++id) {
+    status = detector.Remove(static_cast<uint32_t>(id));
+    if (!status.ok()) {
+      break;
+    }
+    ++stats->expired;
+  }
+  stats->expire_seconds = timer.ElapsedSeconds();
+  if (status.ok() && adds.size() > 0) {
     status = detector.AddBatchParallel(adds, shard_pool_.get(),
                                        &stats->apply_stats);
   }
@@ -1004,16 +993,15 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     // expiry, then each batch). Appends only; the group commit below makes
     // them durable before any ticket completes. ----
     storage::CollectionStore* store = collection->store.get();
-    if (store != nullptr && apply_status.ok()) {
-      if (work.wal_status.ok() && work.expire_end > work.expire_begin) {
-        // The decision is recorded, not recomputed: replay removes exactly
-        // this range regardless of wall-clock at recovery time.
-        storage::WalRecord rec;
-        rec.type = storage::WalRecordType::kExpire;
-        rec.expire_begin = work.expire_begin;
-        rec.expire_end = work.expire_end;
-        work.wal_status = store->LogRecord(rec);
-      }
+    if (store != nullptr && work.segment.expired > 0) {
+      // The decision is recorded, not recomputed: replay removes exactly
+      // the range the detector removed (even if the segment failed after
+      // it), regardless of wall-clock at recovery time.
+      storage::WalRecord rec;
+      rec.type = storage::WalRecordType::kExpire;
+      rec.expire_begin = work.expire_begin;
+      rec.expire_end = work.expire_begin + work.segment.expired;
+      work.wal_status = store->LogRecord(rec);
     }
     uint64_t cum = base;
     for (OpShape& shape : work.ops) {
@@ -1204,19 +1192,25 @@ Status DetectionService::RecoverCollection(const std::string& name,
   storage::RecoveredCollection recovered;
   std::unique_ptr<storage::CollectionStore> store;
   DBSCOUT_ASSIGN_OR_RETURN(store, OpenStore(name, &recovered));
-  // Dims come from the snapshot when one exists, else the first CREATE or
-  // INGEST record of the suffix.
-  uint16_t dims = recovered.base.dims;
-  if (dims == 0) {
-    for (const storage::WalRecord& record : recovered.suffix) {
-      if (record.type == storage::WalRecordType::kCreate ||
-          record.type == storage::WalRecordType::kIngest) {
-        dims = record.dims;
-        break;
-      }
+  const auto refuse = [&](const Status& status) {
+    return Status(status.code(),
+                  StrFormat("recover collection '%s' from %s: %s",
+                            name.c_str(), dir.c_str(),
+                            status.message().c_str()));
+  };
+  // Fold the WAL suffix into the base state with the same definition of
+  // replay compaction uses; it refuses lost or reordered records, expiry
+  // that does not extend the expired prefix, and dims drift.
+  storage::CollectionState state = std::move(recovered.base);
+  for (const storage::WalRecord& record : recovered.suffix) {
+    const Status folded = storage::ApplyRecordToState(record, &state);
+    if (!folded.ok()) {
+      return refuse(folded);
     }
   }
-  if (dims == 0) {
+  const uint64_t replayed_records = recovered.suffix.size();
+  recovered.suffix = {};  // the folded state holds every coordinate now
+  if (state.dims == 0) {
     // A crash before the create record became durable: nothing usable on
     // disk. The next ingest of this name re-creates the collection (and
     // reopens this directory, which recovers as empty again).
@@ -1224,22 +1218,22 @@ Status DetectionService::RecoverCollection(const std::string& name,
                        << "': empty durability dir, nothing to recover";
     return store->Close();
   }
-  DBSCOUT_ASSIGN_OR_RETURN(core::IncrementalDetector detector,
-                           core::IncrementalDetector::Create(dims,
-                                                             options_.params));
+  DBSCOUT_ASSIGN_OR_RETURN(
+      core::IncrementalDetector detector,
+      core::IncrementalDetector::Create(state.dims, options_.params));
   auto collection = std::make_unique<Collection>(name, std::move(detector));
   collection->store = std::move(store);
   collection->depth_gauge = registry_->GetGauge(
       "dbscout_pending_batches",
       "Ingest batches waiting in the apply queue, by collection",
       {{"collection", name}});
-  Status replayed = ReplayCollection(collection.get(), recovered);
+  const uint64_t replayed_points = state.epoch;
+  const Status replayed = ReplayCollection(collection.get(), std::move(state));
   if (!replayed.ok()) {
-    return Status(replayed.code(),
-                  StrFormat("recover collection '%s' from %s: %s",
-                            name.c_str(), dir.c_str(),
-                            replayed.message().c_str()));
+    return refuse(replayed);
   }
+  replay_records_total_->Increment(replayed_records);
+  replay_points_total_->Increment(replayed_points);
   replay_seconds_->Observe(timer.ElapsedSeconds());
   MutexLock lock(collections_mu_);
   collections_.emplace(name, std::move(collection));
@@ -1247,128 +1241,41 @@ Status DetectionService::RecoverCollection(const std::string& name,
   return Status::OK();
 }
 
-Status DetectionService::ReplayCollection(
-    Collection* collection, const storage::RecoveredCollection& recovered) {
-  const core::IncrementalDetector& detector = collection->detector;
-  const size_t dims = collection->dims;
-  double ttl = recovered.base.ttl_seconds;
-  uint64_t window_begin = recovered.base.window_begin;
-  uint64_t replayed_records = 0;
-  uint64_t replayed_points = 0;
-  // Every replay step is one detector segment; only the last snapshot is
-  // published.
+Status DetectionService::ReplayCollection(Collection* collection,
+                                          storage::CollectionState state) {
+  // The folded state keeps the coordinates of every id < epoch, so one add
+  // segment plus one expiry segment over [0, window_begin) reproduces its
+  // live set, through the same apply path as live traffic. Labels are a
+  // function of the live point set, so they equal the pre-crash ones at
+  // the durable epoch. Region plans (snapshot has_plan, kPlan records)
+  // were written by servers that partitioned collections over several
+  // detectors; ids are global and dense and expiry ranges are recorded,
+  // so one detector ignores them.
+  const size_t dims = state.dims;
+  DBSCOUT_ASSIGN_OR_RETURN(
+      const PointSet adds,
+      PointSet::FromRowMajor(dims, std::move(state.coords)));
   SegmentStats segment;
-  const auto replay = [&](const PointSet& adds, uint64_t expire_begin,
-                          uint64_t expire_end) {
-    return ApplySegment(collection, adds, expire_begin, expire_end,
-                        /*trace_id=*/0, &segment);
-  };
-
-  // Region plans (snapshot has_plan, kPlan records) were written by
-  // servers that partitioned collections over several detectors. They are
-  // read and ignored: ids are global and dense and expiry ranges are
-  // recorded, so one detector replays such a log to the same labels.
-
-  // Base state: the snapshot keeps the coordinates of every id < epoch, so
-  // one add segment plus one expiry segment over [0, window_begin)
-  // reproduces its live set — through the same apply path as live traffic.
-  if (recovered.base.epoch > 0) {
-    PointSet adds{dims};
-    for (uint64_t i = 0; i < recovered.base.epoch; ++i) {
-      adds.Add(std::span<const double>(
-          recovered.base.coords.data() + i * dims, dims));
-    }
-    DBSCOUT_RETURN_IF_ERROR(replay(adds, 0, 0));
-    if (window_begin > 0) {
-      DBSCOUT_RETURN_IF_ERROR(replay(PointSet{dims}, 0, window_begin));
-    }
-    replayed_points += recovered.base.epoch;
+  DBSCOUT_RETURN_IF_ERROR(
+      ApplySegment(collection, adds, 0, 0, /*trace_id=*/0, &segment));
+  if (state.window_begin > 0) {
+    DBSCOUT_RETURN_IF_ERROR(ApplySegment(collection, PointSet{dims}, 0,
+                                         state.window_begin,
+                                         /*trace_id=*/0, &segment));
   }
-
-  // WAL suffix: every record becomes its own segment, in log order. Labels
-  // are a function of the live point set (batching-independent), so the
-  // replayed outlier set equals the pre-crash one at the durable epoch.
-  for (const storage::WalRecord& record : recovered.suffix) {
-    ++replayed_records;
-    switch (record.type) {
-      case storage::WalRecordType::kCreate: {
-        if (record.dims != dims) {
-          return Status::IoError(
-              StrFormat("wal create record dims %u != collection dims %zu",
-                        record.dims, dims));
-        }
-        ttl = record.ttl_seconds;
-        break;
-      }
-      case storage::WalRecordType::kConfigure:
-        ttl = record.ttl_seconds;
-        break;
-      case storage::WalRecordType::kPlan:
-        break;  // legacy region plan, ignored (see above)
-      case storage::WalRecordType::kIngest: {
-        if (record.dims != dims) {
-          return Status::IoError(
-              StrFormat("wal ingest record dims %u != collection dims %zu",
-                        record.dims, dims));
-        }
-        if (record.base_epoch != detector.epoch()) {
-          return Status::IoError(StrFormat(
-              "wal ingest record expects base epoch %llu but replay is at "
-              "%llu (lost or reordered records)",
-              static_cast<unsigned long long>(record.base_epoch),
-              static_cast<unsigned long long>(detector.epoch())));
-        }
-        const size_t count = record.coords.size() / dims;
-        PointSet adds{dims};
-        for (size_t i = 0; i < count; ++i) {
-          adds.Add(std::span<const double>(record.coords.data() + i * dims,
-                                           dims));
-        }
-        DBSCOUT_RETURN_IF_ERROR(replay(adds, 0, 0));
-        replayed_points += count;
-        break;
-      }
-      case storage::WalRecordType::kExpire: {
-        if (record.expire_begin != window_begin ||
-            record.expire_end > detector.epoch()) {
-          return Status::IoError(StrFormat(
-              "wal expire record [%llu, %llu) does not extend window begin "
-              "%llu at epoch %llu",
-              static_cast<unsigned long long>(record.expire_begin),
-              static_cast<unsigned long long>(record.expire_end),
-              static_cast<unsigned long long>(window_begin),
-              static_cast<unsigned long long>(detector.epoch())));
-        }
-        if (record.expire_end > record.expire_begin) {
-          DBSCOUT_RETURN_IF_ERROR(
-              replay(PointSet{dims}, record.expire_begin, record.expire_end));
-        }
-        window_begin = record.expire_end;
-        break;
-      }
-    }
-  }
-
-  collection->ttl_seconds.store(ttl, std::memory_order_relaxed);
-  if (ttl > 0.0) {
+  collection->ttl_seconds.store(state.ttl_seconds, std::memory_order_relaxed);
+  if (state.ttl_seconds > 0.0) {
     has_window_.store(true, std::memory_order_relaxed);
   }
-  // window_begin only ever advances, and replay ends exactly where the
-  // durable log ended: the epoch never rewinds across a restart.
-  collection->window_begin.store(window_begin, std::memory_order_relaxed);
-  if (detector.epoch() > window_begin) {
+  if (state.epoch > state.window_begin) {
     // Re-stamp the surviving range at recovery time: the WAL records no
     // wall-clock provenance, so recovered points live one more full TTL
     // from now (never less than they would have).
     collection->stamps.push_back(
-        Collection::StampRange{detector.epoch(), clock_()});
+        Collection::StampRange{state.epoch, clock_()});
   }
-  if (segment.snapshot != nullptr) {
-    collection->snapshot.store(std::move(segment.snapshot),
-                               std::memory_order_release);
-  }
-  replay_records_total_->Increment(replayed_records);
-  replay_points_total_->Increment(replayed_points);
+  collection->snapshot.store(std::move(segment.snapshot),
+                             std::memory_order_release);
   return Status::OK();
 }
 

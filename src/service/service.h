@@ -217,9 +217,6 @@ class DetectionService {
     /// Sliding-window TTL in seconds; 0 = append-only. Written by
     /// CONFIGURE, read by the apply loop.
     std::atomic<double> ttl_seconds{0.0};
-    /// First epoch still inside the window (everything below is expired).
-    /// Written by the apply loop, read by STATS.
-    std::atomic<uint64_t> window_begin{0};
     /// Ingest batches of this collection currently in the apply queue.
     std::atomic<uint64_t> queue_depth{0};
     /// dbscout_pending_batches{collection=...}; mirrors queue_depth.
@@ -303,10 +300,11 @@ class DetectionService {
   Status RecoverCollection(const std::string& name,
                            const std::string& dir)
       DBSCOUT_EXCLUDES(collections_mu_);
-  /// Replays one recovered collection: base state as one add pass plus
-  /// one expiry pass, then each WAL suffix record as its own pass.
+  /// Replays one collection's folded on-disk state (snapshot plus WAL
+  /// suffix): one add segment over every id, then one expiry segment over
+  /// [0, window_begin), then publishes the result.
   Status ReplayCollection(Collection* collection,
-                          const storage::RecoveredCollection& recovered);
+                          storage::CollectionState state);
 
   /// Validates the batch shape and returns the collection, creating it on
   /// first ingest (dims fixed by the first batch).
@@ -327,9 +325,10 @@ class DetectionService {
   /// empty `batch` is an expiry-only pass (periodic window wakeup).
   void ApplyPass(std::vector<PendingIngest> batch)
       DBSCOUT_EXCLUDES(mu_, collections_mu_);
-  /// Pops `collection`'s aged-out stamp ranges and advances window_begin,
-  /// returning true and the global-id range [*begin, *end) to remove
-  /// (the detector segment performs the actual removals). Apply loop only.
+  /// Pops `collection`'s aged-out stamp ranges, returning true and the
+  /// global-id range [*begin, *end) to remove; *begin is the detector's
+  /// window_begin() (the detector segment performs the actual removals).
+  /// Apply loop only.
   bool ComputeExpiry(Collection* collection, double now, uint64_t* begin,
                      uint64_t* end);
 
@@ -344,8 +343,9 @@ class DetectionService {
   };
   /// One collection's detector segment: removes ids [expire_begin,
   /// expire_end), then applies `adds` in slab-block waves on shard_pool_,
-  /// then snapshots. Apply loop only; replay calls it before the loop
-  /// starts.
+  /// then snapshots. The first failed Remove stops the segment (no adds)
+  /// and is returned; stats->expired counts the ids actually removed.
+  /// Apply loop only; recovery calls it before the loop starts.
   Status ApplySegment(Collection* collection, const PointSet& adds,
                       uint64_t expire_begin, uint64_t expire_end,
                       uint64_t trace_id, SegmentStats* stats);

@@ -59,6 +59,11 @@ Status ApplyRecordToState(const WalRecord& record, CollectionState* state) {
       if (state->epoch != 0) {
         return Status::IoError("wal create record after ingests");
       }
+      if (state->dims != 0 && record.dims != state->dims) {
+        return Status::IoError(
+            StrFormat("wal create record dims %u != collection dims %u",
+                      record.dims, state->dims));
+      }
       state->dims = record.dims;
       state->ttl_seconds = record.ttl_seconds;
       return Status::OK();
@@ -66,7 +71,7 @@ Status ApplyRecordToState(const WalRecord& record, CollectionState* state) {
       if (state->dims == 0) {
         state->dims = record.dims;
       }
-      if (record.dims != state->dims) {
+      if (record.dims == 0 || record.dims != state->dims) {
         return Status::IoError(
             StrFormat("wal ingest record dims %u != collection dims %u",
                       record.dims, state->dims));

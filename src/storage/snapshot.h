@@ -13,17 +13,19 @@
 namespace dbscout::storage {
 
 /// Logical state of one collection, as reconstructible from disk: the
-/// compaction unit. Coordinates are kept for EVERY global id in
+/// compaction unit, and what service recovery replays after folding the
+/// WAL suffix into it. Coordinates are kept for EVERY global id in
 /// [0, epoch) — expired ids included — because detector global ids are
 /// dense insertion indices that must be preserved across restart (by-id
-/// queries and the prefix-only alive mask both index from 0). Replay
-/// re-adds all of them and then expires [0, window_begin) in one pass.
-/// Compacting the dead prefix out of the id space is future work (it
-/// needs an id-remap epoch in the protocol).
+/// queries index from 0, and the detector's window_begin is an id).
+/// Replay re-adds all of them in one add segment and then expires
+/// [0, window_begin) in one expiry segment. Compacting the dead prefix
+/// out of the id space is future work (it needs an id-remap epoch in the
+/// protocol).
 struct CollectionState {
   uint16_t dims = 0;
   uint64_t epoch = 0;         // points ever ingested
-  uint64_t window_begin = 0;  // ids below are expired (alive mask is 0*1*)
+  uint64_t window_begin = 0;  // ids below are expired
   double ttl_seconds = 0.0;
   /// Region plan recorded by servers that spread a collection over
   /// several detectors. Still carried through compaction so the format
@@ -34,10 +36,11 @@ struct CollectionState {
   std::vector<double> coords;  // row-major, epoch * dims doubles
 };
 
-/// Folds one WAL record into the state — the shared definition of replay
-/// used by compaction (file-level merge) and wal_inspect. Validates
-/// continuity: an ingest record whose base_epoch is not the current epoch
-/// means a lost or reordered record and fails.
+/// Folds one WAL record into the state — the one definition of replay,
+/// used by compaction (file-level merge) and service recovery. Validates continuity: an ingest record whose base_epoch
+/// is not the current epoch means a lost or reordered record, an expiry
+/// must start at window_begin and end by the epoch, and create or ingest
+/// dims must match dims already known; each violation fails.
 Status ApplyRecordToState(const WalRecord& record, CollectionState* state);
 
 /// Snapshot files:

@@ -139,12 +139,16 @@ TEST(IncrementalTest, InsertionOrderDoesNotMatter) {
 TEST(IncrementalTest, RemoveRejectsUnknownAndDoubleRemoves) {
   auto det = IncrementalDetector::Create(1, MakeParams(1.0, 2));
   ASSERT_TRUE(det.ok());
-  EXPECT_FALSE(det->Remove(0).ok());  // never inserted
+  EXPECT_EQ(det->Remove(0).code(), StatusCode::kInvalidArgument);  // never
   const double p[] = {0.0};
   ASSERT_TRUE(det->Add({p, 1}).ok());
+  ASSERT_TRUE(det->Add({p, 1}).ok());
+  // Removal is prefix-only: id 1 is live, but the window starts at 0.
+  EXPECT_EQ(det->Remove(1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(det->live_points(), 2u);
   ASSERT_TRUE(det->Remove(0).ok());
-  const Status again = det->Remove(0);
-  EXPECT_EQ(again.code(), StatusCode::kNotFound);
+  EXPECT_EQ(det->Remove(0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(det->window_begin(), 1u);
 }
 
 TEST(IncrementalTest, RemoveUpdatesLivenessNotEpoch) {
@@ -154,35 +158,43 @@ TEST(IncrementalTest, RemoveUpdatesLivenessNotEpoch) {
     const double p[] = {static_cast<double>(i) * 10.0};  // isolated outliers
     ASSERT_TRUE(det->Add({p, 1}).ok());
   }
-  ASSERT_TRUE(det->Remove(2).ok());
+  ASSERT_TRUE(det->Remove(0).ok());
   EXPECT_EQ(det->epoch(), 4u);  // indices never rewind
+  EXPECT_EQ(det->window_begin(), 1u);
   EXPECT_EQ(det->live_points(), 3u);
-  EXPECT_FALSE(det->IsAlive(2));
+  EXPECT_FALSE(det->IsAlive(0));
   EXPECT_TRUE(det->IsAlive(1));
   // Removed points drop out of the outlier list but keep their last label.
-  EXPECT_EQ(det->Outliers(), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(det->KindOf(0), PointKind::kOutlier);
+  EXPECT_EQ(det->Outliers(), (std::vector<uint32_t>{1, 2, 3}));
   auto snap = det->SnapshotNow();
+  EXPECT_EQ(snap->window_begin(), 1u);
   EXPECT_EQ(snap->live_points(), 3u);
-  EXPECT_FALSE(snap->IsAlive(2));
-  EXPECT_EQ(snap->Outliers(), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_FALSE(snap->IsAlive(0));
+  EXPECT_EQ(snap->Outliers(), (std::vector<uint32_t>{1, 2, 3}));
 }
 
 // Layout (1D, eps = 1, minPts = 6): four copies of A at 0.0, one helper at
 // -0.5, one border point d at 0.95. Each A reaches all six points (count 6,
 // core); the helper (count 5) and d (count 5) are border, covered only by
-// the A cores.
-void BuildCoveredCluster(IncrementalDetector* det) {
+// the A cores. Ids: A = 0..3, helper = 4, d = 5; with `d_first`, d = 0,
+// A = 1..4, helper = 5 (labels do not depend on insertion order).
+void BuildCoveredCluster(IncrementalDetector* det, bool d_first = false) {
   const double a[] = {0.0};
   const double helper[] = {-0.5};
   const double d[] = {0.95};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(det->Add({a, 1}).ok());  // ids 0..3
+  if (d_first) {
+    ASSERT_TRUE(det->Add({d, 1}).ok());
   }
-  ASSERT_TRUE(det->Add({helper, 1}).ok());  // id 4
-  ASSERT_TRUE(det->Add({d, 1}).ok());       // id 5
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(det->Add({a, 1}).ok());
+  }
+  ASSERT_TRUE(det->Add({helper, 1}).ok());
+  if (!d_first) {
+    ASSERT_TRUE(det->Add({d, 1}).ok());
+  }
   ASSERT_EQ(det->num_core(), 4u);
-  ASSERT_EQ(det->KindOf(4), PointKind::kBorder);
-  ASSERT_EQ(det->KindOf(5), PointKind::kBorder);
+  ASSERT_TRUE(det->Outliers().empty());
 }
 
 TEST(IncrementalTest, RemoveCoreDemotesToNonCoreAndUncoversBorders) {
@@ -200,20 +212,21 @@ TEST(IncrementalTest, RemoveCoreDemotesToNonCoreAndUncoversBorders) {
 TEST(IncrementalTest, RemoveBorderCanDemoteCoresItSupported) {
   auto det = IncrementalDetector::Create(1, MakeParams(1.0, 6));
   ASSERT_TRUE(det.ok());
-  BuildCoveredCluster(&*det);
+  BuildCoveredCluster(&*det, /*d_first=*/true);
+  ASSERT_EQ(det->KindOf(0), PointKind::kBorder);
   // d is only a border point, but its neighbor count is what keeps the A
   // copies on the minPts threshold: removing it demotes all four cores and
   // the helper falls border -> outlier with them.
-  ASSERT_TRUE(det->Remove(5).ok());
+  ASSERT_TRUE(det->Remove(0).ok());
   EXPECT_EQ(det->num_core(), 0u);
-  EXPECT_EQ(det->Outliers(), (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(det->Outliers(), (std::vector<uint32_t>{1, 2, 3, 4, 5}));
 }
 
 TEST(IncrementalTest, RemoveThenReinsertRebuildsTheCluster) {
   auto det = IncrementalDetector::Create(1, MakeParams(1.0, 6));
   ASSERT_TRUE(det.ok());
   BuildCoveredCluster(&*det);
-  ASSERT_TRUE(det->Remove(1).ok());
+  ASSERT_TRUE(det->Remove(0).ok());  // one copy of A
   ASSERT_EQ(det->num_core(), 0u);
   // A new copy of A restores every count; labels recover exactly.
   const double a[] = {0.0};

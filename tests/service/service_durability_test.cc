@@ -380,6 +380,52 @@ TEST(DurabilityTest, AutoCompactionUnderTinySegmentsStaysExact) {
                       "after restart");
 }
 
+/// Writes collection "c"'s durability directory under `data_dir` straight
+/// through the storage layer, bypassing the service, so a test can hand
+/// recovery a log the service itself would never write.
+void WriteCollectionLog(const std::string& data_dir,
+                        const std::vector<storage::WalRecord>& records) {
+  obs::Registry registry;
+  storage::StoreOptions store_options;
+  store_options.registry = &registry;
+  store_options.collection = "c";
+  storage::RecoveredCollection recovered;
+  auto store = storage::CollectionStore::Open(
+      data_dir + "/" + storage::EncodeCollectionDirName("c"), store_options,
+      &recovered);
+  ASSERT_TRUE(store.ok()) << store.status();
+  for (const storage::WalRecord& record : records) {
+    ASSERT_TRUE((*store)->LogRecord(record).ok());
+  }
+  ASSERT_TRUE((*store)->Commit().ok());
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+storage::WalRecord CreateRecord(uint16_t dims, double ttl_seconds) {
+  storage::WalRecord create;
+  create.type = storage::WalRecordType::kCreate;
+  create.dims = dims;
+  create.ttl_seconds = ttl_seconds;
+  return create;
+}
+
+storage::WalRecord IngestRecord(uint64_t base_epoch, const PointSet& batch) {
+  storage::WalRecord ingest;
+  ingest.type = storage::WalRecordType::kIngest;
+  ingest.dims = static_cast<uint16_t>(batch.dims());
+  ingest.base_epoch = base_epoch;
+  ingest.coords = batch.values();
+  return ingest;
+}
+
+storage::WalRecord ExpireRecord(uint64_t begin, uint64_t end) {
+  storage::WalRecord expire;
+  expire.type = storage::WalRecordType::kExpire;
+  expire.expire_begin = begin;
+  expire.expire_end = end;
+  return expire;
+}
+
 TEST(DurabilityTest, LegacyPlanRecordsRecoverIntoOneDetector) {
   // Servers that spread a collection over several detectors logged their
   // dim-0 region plan (a kPlan record) before the first ingest. Such a
@@ -390,57 +436,27 @@ TEST(DurabilityTest, LegacyPlanRecordsRecoverIntoOneDetector) {
   const size_t dims = 2;
   Rng rng(0x4444);
   PointSet ingested(dims);
-  uint64_t expired = 0;
 
-  {
-    obs::Registry registry;
-    storage::StoreOptions store_options;
-    store_options.registry = &registry;
-    store_options.collection = "c";
-    storage::RecoveredCollection recovered;
-    auto store = storage::CollectionStore::Open(
-        dir + "/" + storage::EncodeCollectionDirName("c"), store_options,
-        &recovered);
-    ASSERT_TRUE(store.ok()) << store.status();
-
-    storage::WalRecord create;
-    create.type = storage::WalRecordType::kCreate;
-    create.dims = dims;
-    create.ttl_seconds = 60.0;
-    ASSERT_TRUE((*store)->LogRecord(create).ok());
-
-    storage::WalRecord plan;
-    plan.type = storage::WalRecordType::kPlan;
-    plan.halo = grid::HaloSlabs(dims);
-    plan.stripes = {{0, 4}, {5, 10}, {11, 17}};
-    ASSERT_TRUE((*store)->LogRecord(plan).ok());
-
-    const PointSet batches[] = {
-        testing::UniformPoints(&rng, 80, dims, 0.0, 12.0),
-        testing::ClusteredPoints(&rng, 60, dims, 3, 0.2),
-        testing::UniformPoints(&rng, 40, dims, -1.0, 13.0),
-        testing::ClusteredPoints(&rng, 50, dims, 2, 0.3)};
-    for (const PointSet& batch : batches) {
-      storage::WalRecord ingest;
-      ingest.type = storage::WalRecordType::kIngest;
-      ingest.dims = dims;
-      ingest.base_epoch = ingested.size();
-      ingest.coords = batch.values();
-      ASSERT_TRUE((*store)->LogRecord(ingest).ok());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        ingested.Add(batch[i]);
-      }
+  std::vector<storage::WalRecord> records = {CreateRecord(dims, 60.0)};
+  storage::WalRecord plan;
+  plan.type = storage::WalRecordType::kPlan;
+  plan.halo = grid::HaloSlabs(dims);
+  plan.stripes = {{0, 4}, {5, 10}, {11, 17}};
+  records.push_back(plan);
+  const PointSet batches[] = {
+      testing::UniformPoints(&rng, 80, dims, 0.0, 12.0),
+      testing::ClusteredPoints(&rng, 60, dims, 3, 0.2),
+      testing::UniformPoints(&rng, 40, dims, -1.0, 13.0),
+      testing::ClusteredPoints(&rng, 50, dims, 2, 0.3)};
+  for (const PointSet& batch : batches) {
+    records.push_back(IngestRecord(ingested.size(), batch));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ingested.Add(batch[i]);
     }
-
-    expired = batches[0].size();
-    storage::WalRecord expire;
-    expire.type = storage::WalRecordType::kExpire;
-    expire.expire_begin = 0;
-    expire.expire_end = expired;
-    ASSERT_TRUE((*store)->LogRecord(expire).ok());
-    ASSERT_TRUE((*store)->Commit().ok());
-    ASSERT_TRUE((*store)->Close().ok());
   }
+  const uint64_t expired = batches[0].size();
+  records.push_back(ExpireRecord(0, expired));
+  WriteCollectionLog(dir, records);
 
   obs::Registry registry;
   DurableRun run(DurableOptions(dir, &registry, nullptr));
@@ -493,6 +509,59 @@ TEST(DurabilityTest, CorruptWalFrameFailsRecovery) {
   DurableRun run(DurableOptions(dir, &registry, nullptr));
   EXPECT_FALSE(run.service.recovery_status().ok());
 }
+
+/// A log whose last record breaks replay continuity. It follows a CREATE
+/// and one 20-point INGEST (epoch 20, window [0, 20)).
+struct BrokenLog {
+  std::string name;
+  storage::WalRecord last;
+};
+
+void PrintTo(const BrokenLog& log, std::ostream* os) { *os << log.name; }
+
+class RecoveryRefusalTest : public ::testing::TestWithParam<BrokenLog> {};
+
+TEST_P(RecoveryRefusalTest, RefusesAndStaysNotReady) {
+  const std::string dir = FreshDataDir("refusal_" + GetParam().name);
+  const uint16_t dims = 2;
+  Rng rng(0x5555);
+  WriteCollectionLog(
+      dir, {CreateRecord(dims, 0.0),
+            IngestRecord(0, testing::UniformPoints(&rng, 20, dims, 0.0, 5.0)),
+            GetParam().last});
+
+  obs::Registry registry;
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
+  EXPECT_FALSE(run.service.recovery_status().ok());
+
+  Request health_request;
+  health_request.verb = Verb::kHealth;
+  auto health = run.handle.Call(health_request);
+  ASSERT_TRUE(health.ok() && health->status.ok());
+  EXPECT_EQ(health->health.state, HealthState::kNotReady);
+  EXPECT_NE(health->health.reason.find("startup recovery failed"),
+            std::string::npos)
+      << health->health.reason;
+
+  // The unrecovered directory must never be ingested over.
+  auto ingest = run.handle.Call(IngestRequest("c", dims, {1.0, 2.0}));
+  ASSERT_TRUE(ingest.ok());
+  EXPECT_EQ(ingest->status.code(), StatusCode::kFailedPrecondition)
+      << ingest->status;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Broken, RecoveryRefusalTest,
+    ::testing::Values(
+        // Ids 20..24 were never logged: a lost or reordered record.
+        BrokenLog{"IngestSkipsIds",
+                  IngestRecord(25, PointSet::FromRowMajor(2, {1.0, 1.0})
+                                       .value())},
+        // The window starts at 0, so an expiry must start there too.
+        BrokenLog{"ExpireSkipsWindowBegin", ExpireRecord(5, 10)}),
+    [](const ::testing::TestParamInfo<BrokenLog>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace dbscout::service

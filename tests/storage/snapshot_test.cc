@@ -196,6 +196,24 @@ TEST(ApplyRecordToStateTest, RejectsDimsMismatch) {
   second.base_epoch = 1;
   second.coords = {1.0, 2.0, 3.0};
   EXPECT_FALSE(ApplyRecordToState(second, &state).ok());
+
+  // A create record must agree with dims already known, even before any
+  // ingest (a snapshot or an earlier create fixed them).
+  CollectionState created;
+  created.dims = 2;
+  WalRecord create;
+  create.type = WalRecordType::kCreate;
+  create.dims = 3;
+  EXPECT_FALSE(ApplyRecordToState(create, &created).ok());
+  create.dims = 2;
+  EXPECT_TRUE(ApplyRecordToState(create, &created).ok());
+
+  // An ingest can never carry dims 0 (its epoch advance divides by dims).
+  CollectionState fresh;
+  WalRecord zero;
+  zero.type = WalRecordType::kIngest;
+  zero.dims = 0;
+  EXPECT_FALSE(ApplyRecordToState(zero, &fresh).ok());
 }
 
 }  // namespace

@@ -349,10 +349,10 @@ TEST(ServiceStressTest, WindowedIngestExpiryVsReadersStaysConsistent) {
         stats_req.verb = Verb::kStats;
         stats_req.collection = "window";
         const Response stats = service.Dispatch(stats_req);
-        // window_begin is a live atomic and may run ahead of the snapshot
-        // the other fields came from, so only snapshot-internal invariants
-        // are checked here.
         if (!stats.status.ok() ||
+            stats.stats.window_begin > stats.stats.epoch ||
+            stats.stats.epoch - stats.stats.window_begin !=
+                stats.stats.live_points ||
             stats.stats.live_points > stats.stats.num_points ||
             stats.stats.ttl_seconds != 0.02) {
           ++failures;
