@@ -48,12 +48,16 @@ namespace dbscout {
 /// mutate sparsely per insertion (a rescue flips an old entry), so cloning
 /// only touched chunks keeps snapshot publication O(changed) instead of
 /// O(n).
-template <typename T>
+///
+/// `ChunkShift` sets 2^ChunkShift entries per chunk. The default 1024
+/// suits cheap entries written in dense runs (labels, counts); a vector of
+/// costly-to-copy entries written at scattered indices (the incremental
+/// engine's per-cell directory of shared point lists) wants small chunks,
+/// since a clone copies the whole chunk.
+template <typename T, size_t ChunkShift = 10>
 class CowChunkedVector {
  public:
-  /// 1024 entries per chunk: big enough to amortize the shared_ptr
-  /// bookkeeping, small enough that a clone after a sparse write is cheap.
-  static constexpr size_t kChunkShift = 10;
+  static constexpr size_t kChunkShift = ChunkShift;
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
 
  private:
@@ -138,12 +142,13 @@ class CowChunkedVector {
            (i & (kChunkSize - 1));
   }
 
-  /// Immutable view of the current contents; O(size/kChunkSize).
+  /// Immutable view of the current contents; O(size/kChunkSize). Entries
+  /// are returned by reference: they live as long as the view.
   class Frozen {
    public:
     Frozen() = default;
     size_t size() const { return size_; }
-    T operator[](size_t i) const {
+    const T& operator[](size_t i) const {
       return chunks_[i >> kChunkShift]->data[i & (kChunkSize - 1)];
     }
 

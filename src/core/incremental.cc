@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "common/str_util.h"
@@ -79,12 +80,12 @@ double IncrementalSnapshot::NearestCoreDistance(
   const grid::CellCoord home = CellCoordFor(pv, side_, dims());
   double best2 = std::numeric_limits<double>::infinity();
   for (const grid::CellOffset& offset : stencil_->offsets) {
-    const grid::CellCoord neighbor = home.Translated({offset.data(), dims()});
-    auto it = cells_.find(neighbor);
-    if (it == cells_.end() || it->second.core_points == 0) {
+    const SnapCell* cell =
+        FindCell(home.Translated({offset.data(), dims()}));
+    if (cell == nullptr || cell->core_points == 0) {
       continue;
     }
-    for (uint32_t q : *it->second.points) {
+    for (uint32_t q : *cell->points) {
       if (kinds_[q] != PointKind::kCore) {
         continue;
       }
@@ -109,13 +110,12 @@ Result<ProbeResult> IncrementalSnapshot::Classify(
   bool covered = false;
   double best2 = std::numeric_limits<double>::infinity();
   for (const grid::CellOffset& offset : stencil_->offsets) {
-    const grid::CellCoord neighbor =
-        home.Translated({offset.data(), dims()});
-    auto it = cells_.find(neighbor);
-    if (it == cells_.end()) {
+    const SnapCell* cell =
+        FindCell(home.Translated({offset.data(), dims()}));
+    if (cell == nullptr) {
       continue;
     }
-    for (uint32_t q : *it->second.points) {
+    for (uint32_t q : *cell->points) {
       const double d2 = PointSet::SquaredDistance(point, points_[q]);
       ++out.distance_comps;
       const bool within = d2 <= eps2_;
@@ -171,14 +171,23 @@ IncrementalDetector::IncrementalDetector(size_t dims, const Params& params,
       side_(params.eps / std::sqrt(static_cast<double>(dims))),
       eps2_(params.eps * params.eps),
       block_width_(grid::HaloSlabs(dims)),
-      points_(dims) {}
+      points_(dims),
+      index_(dims) {}
 
 grid::CellCoord IncrementalDetector::CoordOf(
     std::span<const double> p) const {
   return CellCoordFor(p, side_, points_.width());
 }
 
-void IncrementalDetector::EnsureOwnedCell(Cell* cell) {
+void IncrementalDetector::MarkDirty(Cell* cell, ApplyCtx* ctx) {
+  if (cell->dirty_serial != freeze_serial_) {
+    cell->dirty_serial = freeze_serial_;
+    ctx->dirty.push_back(cell->id);
+  }
+}
+
+void IncrementalDetector::EnsureOwnedCell(Cell* cell, ApplyCtx* ctx) {
+  MarkDirty(cell, ctx);
   if (cell->points == nullptr) {
     cell->points = std::make_shared<std::vector<uint32_t>>();
     cell->serial = freeze_serial_;
@@ -193,8 +202,9 @@ void IncrementalDetector::EnsureOwnedCell(Cell* cell) {
 }
 
 void IncrementalDetector::AppendToCell(Cell* cell, uint32_t x,
-                                       std::span<const double> pv) {
-  EnsureOwnedCell(cell);
+                                       std::span<const double> pv,
+                                       ApplyCtx* ctx) {
+  EnsureOwnedCell(cell, ctx);
   cell->points->push_back(x);
   cell->coords.insert(cell->coords.end(), pv.begin(), pv.end());
   cell->outlier_points += 1;  // provisional kOutlier label
@@ -202,34 +212,39 @@ void IncrementalDetector::AppendToCell(Cell* cell, uint32_t x,
 
 IncrementalDetector::Cell* IncrementalDetector::GetOrCreateCell(
     const grid::CellCoord& coord) {
-  auto [it, fresh] = cells_.try_emplace(coord);
-  Cell* cell = &it->second;
-  if (fresh) {
-    // Wire the neighbor caches both ways: the stencil is symmetric (the
-    // Definition 8 condition depends only on |j_i|), so this cell belongs
-    // in exactly the caches of the cells it now caches.
-    const size_t dims = points_.width();
-    for (size_t k = 0; k < dims; ++k) {
-      cell->box_origin[k] = static_cast<double>(coord[k]) * side_;
-    }
-    cell->neighbors.reserve(stencil_->size());
-    for (const grid::CellOffset& offset : stencil_->offsets) {
-      const grid::CellCoord neighbor = coord.Translated({offset.data(), dims});
-      auto nit = cells_.find(neighbor);
-      if (nit == cells_.end() || &nit->second == cell) {
-        continue;
-      }
-      cell->neighbors.push_back(&nit->second);
-      nit->second.neighbors.push_back(cell);
-    }
-    cell->neighbors.push_back(cell);  // self, last
+  const uint32_t found = index_.Find(coord);
+  if (found != grid::CellIndex::kAbsent) {
+    return &cells_[found];
   }
+  // Wire the neighbor caches both ways: the stencil is symmetric (the
+  // Definition 8 condition depends only on |j_i|), so this cell belongs
+  // in exactly the caches of the cells it now caches. The new cell is not
+  // indexed yet, so the zero offset finds nothing.
+  Cell* cell = &cells_.emplace_back();
+  const size_t dims = points_.width();
+  for (size_t k = 0; k < dims; ++k) {
+    cell->box_origin[k] = static_cast<double>(coord[k]) * side_;
+  }
+  cell->neighbors.reserve(stencil_->size());
+  for (const grid::CellOffset& offset : stencil_->offsets) {
+    const uint32_t nid = index_.Find(coord.Translated({offset.data(), dims}));
+    if (nid == grid::CellIndex::kAbsent) {
+      continue;
+    }
+    cell->neighbors.push_back(&cells_[nid]);
+    cells_[nid].neighbors.push_back(cell);
+  }
+  cell->neighbors.push_back(cell);  // self, last
+  cell->id = index_.Insert(coord);
+  // The next snapshot appends every cell created since the last one, so a
+  // new cell needs no dirty listing until after that.
+  cell->dirty_serial = freeze_serial_;
   return cell;
 }
 
 IncrementalDetector::Cell* IncrementalDetector::CellAt(
     const grid::CellCoord& coord) {
-  return &cells_.find(coord)->second;
+  return &cells_[index_.Find(coord)];
 }
 
 void IncrementalDetector::Promote(uint32_t q, ApplyCtx* ctx) {
@@ -244,6 +259,7 @@ void IncrementalDetector::Promote(uint32_t q, ApplyCtx* ctx) {
     }
     kinds_.Set(q, PointKind::kCore);
   }
+  MarkDirty(home, ctx);
   home->core_points += 1;
   // Rescue: every current outlier within eps of the new core point becomes
   // a border point (Definition 3). Cells without outliers skip outright.
@@ -323,7 +339,7 @@ void IncrementalDetector::ApplyPoint(uint32_t x, std::span<const double> pv,
   }
   neighbor_counts_.Set(x, count_x);
   // Register x only now, so the scan above never saw it.
-  AppendToCell(home_cell, x, pv);
+  AppendToCell(home_cell, x, pv, ctx);
 
   for (uint32_t q : ctx->promoted) {
     Promote(q, ctx);
@@ -357,7 +373,7 @@ void IncrementalDetector::ApplyGroupBatched(
   // member), mirroring the sequential path. Hits at positions >= pre_n are
   // earlier members of this very group — their counts accumulate locally
   // and publish with everyone else's at the end. ----
-  EnsureOwnedCell(home_cell);
+  EnsureOwnedCell(home_cell, ctx);
   const size_t pre_n = home_cell->points->size();
   for (size_t i = 0; i < m; ++i) {
     const uint32_t x = members[i];
@@ -399,7 +415,7 @@ void IncrementalDetector::ApplyGroupBatched(
         }
       }
     }
-    AppendToCell(home_cell, x, pv);
+    AppendToCell(home_cell, x, pv, ctx);
   }
 
   // ---- Neighbor blocks, members batched: per-position flag bytes sum
@@ -504,6 +520,7 @@ void IncrementalDetector::MergeCtx(const ApplyCtx& ctx) {
   num_outliers_ = static_cast<size_t>(static_cast<int64_t>(num_outliers_) +
                                       ctx.outlier_delta);
   distance_comps_ += ctx.distance_comps;
+  dirty_.insert(dirty_.end(), ctx.dirty.begin(), ctx.dirty.end());
 }
 
 Status IncrementalDetector::ValidatePoint(std::span<const double> point) const {
@@ -551,39 +568,35 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     DBSCOUT_RETURN_IF_ERROR(ValidateCoordinates(batch[i], dims, side_));
   }
 
-  // ---- Serial pre-phase: append rows and group points by home cell. ----
+  // ---- Serial pre-phase: append rows, create every home cell and group
+  // points by it. The wave tasks then only read the cell index and the
+  // (now stable) cached neighbor lists, never insert, so no index growth
+  // or cache rewiring can happen under a concurrent task. ----
   const uint32_t base = static_cast<uint32_t>(points_.size());
   struct Group {
-    grid::CellCoord coord;
     Cell* cell = nullptr;
     int64_t block = 0;
     std::vector<uint32_t> members;  // ascending appended indices
   };
   std::vector<Group> groups;
-  std::unordered_map<grid::CellCoord, size_t, grid::CellCoordHash> group_of;
+  std::unordered_map<uint32_t, size_t> group_of;  // cell id -> group
   for (size_t i = 0; i < n; ++i) {
     const auto p = batch[i];
     points_.PushBack(p);
     kinds_.PushBack(PointKind::kOutlier);  // provisional
     neighbor_counts_.PushBack(1);          // itself
     const grid::CellCoord home = CoordOf(p);
-    auto [it, fresh] = group_of.try_emplace(home, groups.size());
+    Cell* cell = GetOrCreateCell(home);
+    auto [it, fresh] = group_of.try_emplace(cell->id, groups.size());
     if (fresh) {
       Group g;
-      g.coord = home;
+      g.cell = cell;
       g.block = grid::SlabBlock(home[0], block_width_);
       groups.push_back(std::move(g));
     }
     groups[it->second].members.push_back(base + static_cast<uint32_t>(i));
   }
   num_outliers_ += n;
-  // Create every home cell now, serially: the wave tasks then only read
-  // the cell map's structure and the (now stable) cached neighbor lists,
-  // never insert, so no rehash or cache rewiring can happen under a
-  // concurrent task.
-  for (Group& g : groups) {
-    g.cell = GetOrCreateCell(g.coord);
-  }
 
   // ---- Partition home-cell groups into slab-block shard tasks. ----
   std::unordered_map<int64_t, std::vector<size_t>> blocks;
@@ -672,7 +685,7 @@ Status IncrementalDetector::Remove(uint32_t id) {
   // ---- Unregister id from its home cell (swap-erase of both parallel
   // arrays) so the scans below never see it. ----
   Cell* home_cell = CellAt(home);
-  EnsureOwnedCell(home_cell);
+  EnsureOwnedCell(home_cell, &ctx);
   {
     std::vector<uint32_t>& idx = *home_cell->points;
     std::vector<double>& coords = home_cell->coords;
@@ -686,7 +699,7 @@ Status IncrementalDetector::Remove(uint32_t id) {
     coords.resize(last * dims);
   }
   if (old_kind == PointKind::kCore) {
-    home_cell->core_points -= 1;
+    home_cell->core_points -= 1;  // dirty: EnsureOwnedCell marked it
     ctx.core_delta -= 1;
   } else if (old_kind == PointKind::kOutlier) {
     ctx.outlier_delta -= 1;
@@ -738,7 +751,9 @@ Status IncrementalDetector::Remove(uint32_t id) {
   for (uint32_t q : demoted) {
     kinds_.Set(q, PointKind::kBorder);
     ctx.core_delta -= 1;
-    CellAt(CoordOf(points_[q]))->core_points -= 1;
+    Cell* q_home = CellAt(CoordOf(points_[q]));
+    MarkDirty(q_home, &ctx);
+    q_home->core_points -= 1;
     candidates.push_back(q);
   }
   for (uint32_t q : demoted) {
@@ -831,17 +846,27 @@ std::shared_ptr<const IncrementalSnapshot> IncrementalDetector::SnapshotNow() {
   snap->points_ = points_.Freeze();
   snap->kinds_ = kinds_.Freeze();
   snap->neighbor_counts_ = neighbor_counts_.Freeze();
-  snap->cells_.reserve(cells_.size());
-  for (const auto& [coord, cell] : cells_) {
-    snap->cells_.emplace(coord,
-                         IncrementalSnapshot::SnapCell{
-                             cell.points, cell.core_points});
+  // Refresh the directory entries of the cells changed since the last
+  // snapshot, then append the cells created since: no other cell costs
+  // anything here. A cell is never listed in the period it was created
+  // in, so every listed id already has an entry.
+  for (uint32_t id : dirty_) {
+    const Cell& cell = cells_[id];
+    cell_dir_.Set(id, {cell.points, cell.core_points});
   }
+  dirty_.clear();
+  for (size_t id = cell_dir_.size(); id < cells_.size(); ++id) {
+    const Cell& cell = cells_[id];
+    cell_dir_.PushBack({cell.points, cell.core_points});
+  }
+  snap->index_ = index_.table();
+  snap->cells_ = cell_dir_.Freeze();
   snap->num_core_ = num_core_;
   snap->num_outliers_ = num_outliers_;
   snap->window_begin_ = window_begin_;
-  // From here on, the first write into any chunk or cell the snapshot
-  // shares must clone it.
+  // From here on, the first write into any chunk or point list the
+  // snapshot shares must clone it, and the first change to any cell lists
+  // it as dirty again.
   ++freeze_serial_;
   return snap;
 }

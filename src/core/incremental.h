@@ -3,8 +3,8 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cow.h"
@@ -14,6 +14,7 @@
 #include "core/phases/phase_kernels.h"
 #include "data/point_set.h"
 #include "grid/cell_coord.h"
+#include "grid/cell_index.h"
 #include "grid/neighborhood.h"
 
 namespace dbscout {
@@ -38,9 +39,9 @@ struct ProbeResult {
   uint64_t distance_comps = 0;
 };
 
-/// Per-pass statistics of one (possibly sharded) batch apply: how many
-/// region shards the batch split into and how long each executed shard
-/// task ran. Feeds the service's dbscout_apply_shards gauge and
+/// Per-pass statistics of one batch apply: how many dim-0 slab-block tasks
+/// the batch split into (`shards`; 1 when it ran inline) and how long each
+/// executed task ran. Feeds the service's dbscout_apply_shards gauge and
 /// dbscout_apply_shard_seconds histogram.
 struct ApplyStats {
   size_t shards = 1;
@@ -49,12 +50,17 @@ struct ApplyStats {
 
 /// An immutable view of the incremental detector's state at one epoch (=
 /// number of points inserted when the snapshot was taken). Snapshots share
-/// chunked storage with the live detector via copy-on-write, so taking one
-/// costs O(epoch / chunk-size) pointer copies, and any number of threads
-/// may read a snapshot concurrently with further insertions into the
-/// producing detector — provided the snapshot pointer itself is published
-/// with release/acquire ordering (the detection service stores it in a
-/// std::atomic shared_ptr).
+/// storage with the live detector: the point rows and per-point chunks via
+/// copy-on-write, the coordinate -> cell-id index outright (append-only,
+/// see grid/cell_index.h), and a copy-on-write per-cell directory of
+/// {point list, core count} — so taking one costs O(cells touched since
+/// the previous snapshot + epoch / 1024 + cells / 8) pointer copies, and
+/// any number of threads may read a snapshot concurrently with further
+/// insertions into the producing detector, provided the snapshot pointer
+/// itself is published with release/acquire ordering (the detection
+/// service stores it in a std::atomic shared_ptr). A cell id at or beyond
+/// num_cells() belongs to a cell created after the freeze and reads as
+/// absent.
 class IncrementalSnapshot {
  public:
   IncrementalSnapshot() = default;
@@ -108,10 +114,22 @@ class IncrementalSnapshot {
  private:
   friend class IncrementalDetector;
 
+  /// One cell's entry in the per-cell directory: its live point ids and
+  /// core count as of the freeze.
   struct SnapCell {
     std::shared_ptr<const std::vector<uint32_t>> points;
     uint32_t core_points = 0;
   };
+  /// 8 entries per directory chunk: a pass touches cells at scattered ids,
+  /// and the first touch of a frozen chunk copies all of its entries.
+  using CellDirectory = CowChunkedVector<SnapCell, 3>;
+
+  /// The directory entry of the cell at `coord`, or nullptr when no cell
+  /// existed there at the freeze.
+  const SnapCell* FindCell(const grid::CellCoord& coord) const {
+    const uint32_t id = index_->Find(coord);
+    return id < cells_.size() ? &cells_[id] : nullptr;
+  }
 
   Params params_;
   const grid::NeighborStencil* stencil_ = nullptr;
@@ -121,7 +139,8 @@ class IncrementalSnapshot {
   ChunkedRows::Frozen points_;
   CowChunkedVector<PointKind>::Frozen kinds_;
   CowChunkedVector<uint32_t>::Frozen neighbor_counts_;
-  std::unordered_map<grid::CellCoord, SnapCell, grid::CellCoordHash> cells_;
+  std::shared_ptr<const grid::CellIndex::Table> index_;
+  CellDirectory::Frozen cells_;  // indexed by cell id
   size_t num_core_ = 0;
   size_t num_outliers_ = 0;
   uint64_t window_begin_ = 0;
@@ -155,14 +174,16 @@ class IncrementalSnapshot {
 /// Remove/SnapshotNow) must come from one writer at a time; SnapshotNow()
 /// hands out immutable views that other threads may read concurrently
 /// with subsequent writes (the storage is copy-on-write at chunk/cell
-/// granularity, see common/cow.h). AddBatchParallel additionally fans the
-/// batch out over a caller-provided ThreadPool: points are grouped by
-/// home cell, groups by dim-0 slab block of width 2*ceil(sqrt(d)) cells,
-/// and blocks run in three waves colored so that concurrently running
-/// tasks' read/write footprints never overlap (see grid/regions.h). The
-/// final state is identical to sequential insertion — point labels are an
-/// order-independent function of the point set — and no snapshot is taken
-/// mid-batch, so readers only ever observe exact epochs.
+/// granularity, see common/cow.h, and the cell index they share with the
+/// detector is append-only, see grid/cell_index.h). AddBatchParallel
+/// additionally fans the batch out over a caller-provided ThreadPool:
+/// points are grouped by home cell, groups by dim-0 slab block of width
+/// 2*ceil(sqrt(d)) cells, and blocks run in three waves colored so that
+/// concurrently running tasks' read/write footprints never overlap (see
+/// grid/regions.h). The final state is identical to sequential insertion
+/// — point labels are an order-independent function of the point set —
+/// and no snapshot is taken mid-batch, so readers only ever observe exact
+/// epochs.
 class IncrementalDetector {
  public:
   /// Fails on invalid params or dims outside [1, kMaxDims].
@@ -232,10 +253,13 @@ class IncrementalDetector {
   /// (monotone; the service's STATS verb reports deltas per apply pass).
   uint64_t distance_computations() const { return distance_comps_; }
 
-  /// Freezes the current state into an immutable snapshot. O(cells +
-  /// size/chunk-size); subsequent writes copy-on-write only the chunks and
-  /// cells they touch. Must be called from the writer thread, never
-  /// concurrently with AddBatchParallel shard tasks.
+  /// Freezes the current state into an immutable snapshot. Refreshes the
+  /// directory entries of the cells mutated since the previous snapshot
+  /// (nothing is copied, allocated or hashed for any other cell), then
+  /// freezes the chunked stores in O(epoch/1024 + cells/8) pointer copies;
+  /// subsequent writes copy-on-write only the chunks and point lists they
+  /// touch. Must be called from the writer thread, never concurrently with
+  /// AddBatchParallel shard tasks.
   std::shared_ptr<const IncrementalSnapshot> SnapshotNow();
 
  private:
@@ -253,8 +277,8 @@ class IncrementalDetector {
     /// Stencil-neighbor cells (self included, last), resolved once at
     /// creation and kept symmetric as later cells appear — the mutation
     /// paths never pay per-point stencil hash lookups. Cells are never
-    /// erased (an emptied cell stays as a stub) so these pointers stay
-    /// valid; unordered_map nodes are stable under rehash.
+    /// erased (an emptied cell stays as a stub) and live in a std::deque,
+    /// whose elements never move on append, so these pointers stay valid.
     std::vector<Cell*> neighbors;
     /// Lower corner of the cell's box (coord * side per axis), so scans can
     /// skip this cell outright when the whole box lies beyond eps of the
@@ -262,7 +286,11 @@ class IncrementalDetector {
     std::array<double, kMaxDims> box_origin{};
     uint32_t core_points = 0;     // core cell iff > 0
     uint32_t outlier_points = 0;  // rescue scans skip cells with none
+    uint32_t id = 0;              // dense id: index in cells_ and index_
     uint64_t serial = 0;          // freeze serial at last clone/create
+    /// Freeze serial at which the cell was last listed as dirty, so it is
+    /// listed at most once between two snapshots.
+    uint64_t dirty_serial = 0;
   };
 
   /// Mutable per-task state of one apply task: counter deltas (merged
@@ -272,6 +300,9 @@ class IncrementalDetector {
     int64_t core_delta = 0;
     int64_t outlier_delta = 0;
     uint64_t distance_comps = 0;
+    /// Ids of cells whose point list or core count this task changed
+    /// first in the current freeze period (see MarkDirty).
+    std::vector<uint32_t> dirty;
     std::vector<uint32_t> promoted;
     std::vector<uint8_t> flags;
     /// Batched group-apply scratch (ApplyGroupBatched): per-block-position
@@ -288,12 +319,18 @@ class IncrementalDetector {
 
   grid::CellCoord CoordOf(std::span<const double> p) const;
 
-  /// Clones the cell's point/coord vectors if a snapshot still shares
-  /// them (or creates them when empty).
-  void EnsureOwnedCell(Cell* cell);
+  /// Lists `cell` in ctx->dirty unless it already is for this freeze
+  /// period; call before changing its point list or core count. A cell is
+  /// only ever written by one task at a time, so the check is race-free.
+  void MarkDirty(Cell* cell, ApplyCtx* ctx);
+
+  /// Clones the cell's point vector if a snapshot still shares it (or
+  /// creates it when absent), and marks the cell dirty.
+  void EnsureOwnedCell(Cell* cell, ApplyCtx* ctx);
 
   /// Registers point x (row pv) in `cell` as a provisional outlier.
-  void AppendToCell(Cell* cell, uint32_t x, std::span<const double> pv);
+  void AppendToCell(Cell* cell, uint32_t x, std::span<const double> pv,
+                    ApplyCtx* ctx);
 
   /// Finds or creates the cell at `coord`, wiring the (symmetric)
   /// neighbor caches on creation. Structural: serial contexts only.
@@ -339,7 +376,13 @@ class IncrementalDetector {
   ChunkedRows points_;
   CowChunkedVector<PointKind> kinds_;
   CowChunkedVector<uint32_t> neighbor_counts_;  // |{q: dist <= eps}|, self incl.
-  std::unordered_map<grid::CellCoord, Cell, grid::CellCoordHash> cells_;
+  /// Every cell ever created, by id; never erased, never moved.
+  std::deque<Cell> cells_;
+  grid::CellIndex index_;  // coordinate -> id, shared with snapshots
+  /// Per-cell {point list, core count} as of the last snapshot, by id.
+  IncrementalSnapshot::CellDirectory cell_dir_;
+  /// Ids of cells changed since the last snapshot (each listed once).
+  std::vector<uint32_t> dirty_;
   size_t num_core_ = 0;
   size_t num_outliers_ = 0;
   uint64_t window_begin_ = 0;  // ids below are removed

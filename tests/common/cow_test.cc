@@ -1,6 +1,7 @@
 #include "common/cow.h"
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -166,6 +167,32 @@ TEST(CowChunkedVectorTest, DisjointConcurrentSetsLandAndViewsStayIntact) {
   v.Set(0, 42);
   EXPECT_EQ(frozen2[0], 1u);
   EXPECT_EQ(v[0], 42u);
+}
+
+TEST(CowChunkedVectorTest, SmallChunksCloneOnlyTheTouchedChunk) {
+  // 8 entries per chunk, holding shared pointers: a write after a freeze
+  // copies only the 8 entries of its chunk, and views hand out references
+  // into the chunks they share.
+  using Vec = CowChunkedVector<std::shared_ptr<const int>, 3>;
+  static_assert(Vec::kChunkSize == 8);
+  Vec v;
+  for (int i = 0; i < 40; ++i) {
+    v.PushBack(std::make_shared<const int>(i));
+  }
+  const auto before = v.Freeze();
+  v.Set(17, std::make_shared<const int>(-17));
+  const auto after = v.Freeze();
+  EXPECT_EQ(*before[17], 17);
+  EXPECT_EQ(*after[17], -17);
+  for (size_t i = 0; i < 40; ++i) {
+    // Entries of the touched chunk [16, 24) were copied; all others are
+    // the very same slots in both views.
+    const bool touched_chunk = i / 8 == 17 / 8;
+    EXPECT_EQ(&before[i] == &after[i], !touched_chunk) << i;
+    if (i != 17) {
+      EXPECT_EQ(before[i], after[i]) << i;  // same pointee either way
+    }
+  }
 }
 
 TEST(ChunkedRowsTest, RowsRoundTrip) {

@@ -1,11 +1,14 @@
 #include "core/incremental.h"
 
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dbscout.h"
 #include "datasets/synthetic.h"
+#include "grid/cell_index.h"
 #include "testutil.h"
 
 namespace dbscout::core {
@@ -247,6 +250,99 @@ TEST(IncrementalTest, DuplicateFlood) {
   EXPECT_EQ(det->num_core(), 25u);
   EXPECT_TRUE(det->Outliers().empty());
   EXPECT_EQ(det->num_cells(), 1u);
+}
+
+// A snapshot answers from its freeze alone. Cells created after it (enough
+// to grow the cell index at least twice) and point lists emptied after it
+// by window expiry must not reach any of its answers, and a fresh
+// snapshot must see them (so the comparison below can fail).
+TEST(IncrementalTest, SnapshotIsIsolatedFromLaterCellsAndRemovals) {
+  auto det = IncrementalDetector::Create(2, MakeParams(1.0, 4));
+  ASSERT_TRUE(det.ok());
+  Rng rng(41);
+  // Scattered noise first (ids below kNoise, mostly alone in their cells),
+  // then a dense blob; the prefix removal below empties the noise cells.
+  constexpr size_t kNoise = 40;
+  ASSERT_TRUE(
+      det->AddBatch(testing::UniformPoints(&rng, kNoise, 2, 0.0, 12.0)).ok());
+  PointSet blob(2);
+  for (int i = 0; i < 120; ++i) {
+    blob.Add(std::vector<double>{rng.Gaussian(6.0, 0.8),
+                                 rng.Gaussian(6.0, 0.8)});
+  }
+  ASSERT_TRUE(det->AddBatch(blob).ok());
+  const auto snap = det->SnapshotNow();
+  const uint64_t epoch = snap->epoch();
+  const size_t cells_at_freeze = snap->num_cells();
+
+  // Probes over the frozen region and the region that fills in later.
+  std::vector<std::array<double, 2>> probes;
+  for (double x = -1.0; x < 40.0; x += 0.9) {
+    for (double y = -1.0; y < 40.0; y += 0.9) {
+      probes.push_back({x, y});
+    }
+  }
+  auto classify_all = [&](const IncrementalSnapshot& s) {
+    std::vector<ProbeResult> out;
+    for (const auto& p : probes) {
+      auto r = s.Classify(p, /*want_score=*/true);
+      EXPECT_TRUE(r.ok());
+      out.push_back(r.ok() ? *r : ProbeResult{});
+    }
+    return out;
+  };
+  auto nearest_all = [&] {
+    std::vector<double> out;
+    uint64_t comps = 0;
+    for (uint32_t i = 0; i < epoch; ++i) {
+      out.push_back(snap->NearestCoreDistance(i, &comps));
+    }
+    out.push_back(static_cast<double>(comps));
+    return out;
+  };
+  const auto probes_before = classify_all(*snap);
+  const auto nearest_before = nearest_all();
+  const auto outliers_before = snap->Outliers();
+  const auto kinds_before = snap->Kinds();
+
+  // The index keeps its load at most 1/2, so its capacity at the freeze
+  // was at most 4 * cells + K (K = initial capacity); once it holds
+  // 8 * cells + 2K keys, its capacity is at least four times that: two
+  // growths.
+  while (det->num_cells() <
+         8 * cells_at_freeze + 2 * grid::CellIndex::kInitialCapacity) {
+    ASSERT_TRUE(
+        det->AddBatch(testing::UniformPoints(&rng, 200, 2, -1.0, 40.0)).ok());
+  }
+  for (uint32_t id = 0; id < kNoise + 30; ++id) {
+    ASSERT_TRUE(det->Remove(id).ok());
+  }
+
+  EXPECT_EQ(snap->epoch(), epoch);
+  EXPECT_EQ(snap->num_cells(), cells_at_freeze);
+  EXPECT_EQ(snap->Outliers(), outliers_before);
+  EXPECT_EQ(snap->Kinds(), kinds_before);
+  EXPECT_EQ(nearest_all(), nearest_before);
+  const auto probes_after = classify_all(*snap);
+  ASSERT_EQ(probes_after.size(), probes_before.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(probes_after[i].kind, probes_before[i].kind) << i;
+    EXPECT_EQ(probes_after[i].score, probes_before[i].score) << i;
+    EXPECT_EQ(probes_after[i].distance_comps,
+              probes_before[i].distance_comps)
+        << i;
+  }
+
+  const auto fresh = det->SnapshotNow();
+  EXPECT_GT(fresh->num_cells(), cells_at_freeze);
+  const auto probes_fresh = classify_all(*fresh);
+  size_t changed = 0;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    changed += probes_fresh[i].kind != probes_before[i].kind ||
+               probes_fresh[i].distance_comps !=
+                   probes_before[i].distance_comps;
+  }
+  EXPECT_GT(changed, probes.size() / 4);
 }
 
 }  // namespace
